@@ -32,6 +32,7 @@ INT_TOL = 1e-6  # integrality tolerance on branching variables
 ABS_GAP = 1e-6  # incumbent pruning gap
 FEAS_TOL = 1e-6
 BOUND_LIMIT = 1e9  # propagated-bound guard against degenerate scaling
+HEURISTIC_EVERY = 25  # B&B nodes between rounding-heuristic probes
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -178,14 +179,12 @@ def solve(
     node_budget: int = 100000,
     time_budget: float | None = None,
     abs_gap: float = ABS_GAP,
-    lp_max_iter: int | None = None,
-    heuristic_every: int = 25,
 ) -> MilpSolution:
     """Best-bound branch and bound with most-fractional branching.
 
     Budget exhaustion returns status "budget_exceeded" carrying the incumbent
     (assignment may still be None when no integral point was found in time).
-    A rounding heuristic is probed at the root and every `heuristic_every`
+    A rounding heuristic is probed at the root and every `HEURISTIC_EVERY`
     nodes so budgeted runs usually do carry an incumbent.
     """
     comp = _compile(model)
@@ -205,9 +204,7 @@ def solve(
     best_open_bound = -np.inf
 
     def lp(lo, hi, cvec=c_int):
-        return simplex.solve_lp(
-            cvec, comp.A, comp.relations, comp.b, lo, hi, max_iter=lp_max_iter
-        )
+        return simplex.solve_lp(cvec, comp.A, comp.relations, comp.b, lo, hi)
 
     while heap:
         if nodes >= node_budget or (deadline is not None and time.perf_counter() > deadline):
@@ -240,7 +237,7 @@ def solve(
             best_x = x
             continue
 
-        if nodes == 1 or nodes % heuristic_every == 0 or cand.size <= 3:
+        if nodes == 1 or nodes % HEURISTIC_EVERY == 0 or cand.size <= 3:
             lo_h = lo_nd.copy()
             hi_h = hi_nd.copy()
             rounded = np.clip(

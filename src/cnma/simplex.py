@@ -15,6 +15,19 @@ Pricing is Dantzig (most negative reduced cost) with a Bland's-rule fallback
 after a run of degenerate steps, which guarantees termination.  The final
 basic values are recomputed from a fresh factorization of the basis matrix to
 shed accumulated drift.
+
+The full tableau is kept column-major: `T` has shape (ncols + 1, m), so
+tableau column k (and the right-hand side, k = ncols) is the contiguous row
+`T[k]`.  A pivot on row p divides the strided slice `T[:, p]` and then
+updates only the columns whose entry in row p is nonzero; in the big-M
+models of the MILP layer that is a small share of them.  The skipped columns
+would have had an exact +-0 subtracted, which can change at most the sign of
+a zero entry.  No comparison sees that sign, and the returned x is solved
+afresh from the original columns rather than read from `T`, so the pivots
+and the results are bit for bit those of a full row-major update.  The
+matrix products of a refresh run on a row-major copy of `T`, so BLAS sees
+the same layout, and returns the same bits, as it would for a row-major
+tableau.
 """
 from __future__ import annotations
 
@@ -55,7 +68,6 @@ def solve_lp(
     upper,
     maximize: bool = False,
     max_iter: int | None = None,
-    bland: bool = False,
 ) -> LpResult:
     """Solve the LP; relations is a sequence over {"<=", ">=", "="}."""
     c = np.asarray(c, dtype=float)
@@ -81,8 +93,8 @@ def solve_lp(
         return LpResult(INFEASIBLE, None, None, 0)
 
     obj = -c if maximize else c
-    result = _simplex(obj, A, relations, b, lower, upper, max_iter, bland)
-    if result.status == OPTIMAL and not bland:
+    result = _simplex(obj, A, relations, b, lower, upper, max_iter, False)
+    if result.status == OPTIMAL:
         # cheap residual audit; rerun deterministically under Bland's rule if
         # the tableau drifted
         if _max_violation(A, relations, b, lower, upper, result.x) > 1e-6:
@@ -148,7 +160,7 @@ def _simplex(c, A, relations, b, lower, upper, max_iter, bland_start) -> LpResul
         W[row, col] = 1.0 if resid[row] >= 0 else -1.0
         lo[col], hi[col] = 0.0, np.inf
 
-    T = W.copy()
+    T = W.T.copy()  # a copy even where W.T is already contiguous (m == 1)
     basis = np.empty(m, dtype=np.intp)
     beta = np.empty(m)
     at_upper = np.zeros(ncols, dtype=bool)
@@ -161,7 +173,7 @@ def _simplex(c, A, relations, b, lower, upper, max_iter, bland_start) -> LpResul
             col = art_col[i]
             beta[i] = abs(resid[i])
             if W[i, col] < 0:
-                T[i] *= -1.0
+                T[:, i] *= -1.0
         else:
             col = slack_col[i]
             beta[i] = resid[i]
@@ -217,7 +229,7 @@ def _simplex(c, A, relations, b, lower, upper, max_iter, bland_start) -> LpResul
 
 
 class _State:
-    __slots__ = ("T", "basis", "beta", "at_upper", "basic_mask", "lo", "hi", "movable", "m", "ncols")
+    __slots__ = ("T", "basis", "beta", "at_upper", "basic_mask", "cand", "lo", "hi", "movable", "m", "ncols")
 
     def __init__(self, T, basis, beta, at_upper, basic_mask, lo, hi, movable, m, ncols):
         self.T = T
@@ -225,6 +237,7 @@ class _State:
         self.beta = beta
         self.at_upper = at_upper
         self.basic_mask = basic_mask
+        self.cand = movable & ~basic_mask  # nonbasic columns that may enter
         self.lo = lo
         self.hi = hi
         self.movable = movable
@@ -232,47 +245,68 @@ class _State:
         self.ncols = ncols
 
 
-def _refresh(state: _State, cvec: np.ndarray) -> np.ndarray:
-    """Recompute beta and the reduced-cost row from the current tableau."""
+def _recompute_beta(state: _State) -> np.ndarray:
+    """Basic values from the current tableau; returns the tableau row-major."""
+    rows = np.ascontiguousarray(state.T.T)
     nb_vals = np.where(state.at_upper, np.where(np.isfinite(state.hi), state.hi, 0.0),
                        np.where(np.isfinite(state.lo), state.lo, 0.0))
     nb_vals[state.basis] = 0.0
-    state.beta[:] = state.T[:, state.ncols] - state.T[:, : state.ncols] @ nb_vals
-    zrow = cvec - cvec[state.basis] @ state.T[:, : state.ncols]
+    state.beta[:] = rows[:, state.ncols] - rows[:, : state.ncols] @ nb_vals
+    return rows
+
+
+def _refresh(state: _State, cvec: np.ndarray) -> np.ndarray:
+    """Recompute beta and the reduced-cost row from the current tableau."""
+    rows = _recompute_beta(state)
+    zrow = cvec - cvec[state.basis] @ rows[:, : state.ncols]
     zrow[state.basis] = 0.0
     return zrow
+
+
+def _pivot(state: _State, p: int, j: int) -> None:
+    """Column j enters the basis in row p; only columns with T[k, p] != 0 change."""
+    T = state.T
+    T[:, p] /= T[j, p]
+    colv = T[j].copy()
+    colv[p] = 0.0
+    cols = np.flatnonzero(T[:, p])
+    T[cols] -= np.outer(T[cols, p], colv)
+    T[j] = 0.0
+    T[j, p] = 1.0
+    leaving = state.basis[p]
+    state.basic_mask[leaving] = False
+    state.basic_mask[j] = True
+    state.cand[leaving] = state.movable[leaving]
+    state.cand[j] = False
+    state.basis[p] = j
 
 
 def _run_phase(state: _State, cvec: np.ndarray, max_iter: int, bland_start: bool):
     T = state.T
     m, ncols = state.m, state.ncols
     lo, hi = state.lo, state.hi
+    state.cand = state.movable & ~state.basic_mask  # phase 2 pins the artificials
     zrow = _refresh(state, cvec)
+    t_row = np.empty(m)
     stall = 0
     iters = 0
     while iters < max_iter:
         iters += 1
         bland = bland_start or stall > STALL_LIMIT
-        cand = state.movable & ~state.basic_mask
-        elig = cand & (
-            (~state.at_upper & (zrow < -ZTOL)) | (state.at_upper & (zrow > ZTOL))
-        )
+        elig = state.cand & (np.where(state.at_upper, -zrow, zrow) < -ZTOL)
         idxs = np.flatnonzero(elig)
         if idxs.size == 0:
             return OPTIMAL, iters
         j = int(idxs[0]) if bland else int(idxs[np.argmax(np.abs(zrow[idxs]))])
         d = -1.0 if state.at_upper[j] else 1.0
-        col = T[:, j]
+        col = T[j]
         rate = -d * col
 
-        lo_b = lo[state.basis]
-        hi_b = hi[state.basis]
-        t_row = np.full(m, np.inf)
+        beta = state.beta
         neg = rate < -RTOL
-        pos = rate > RTOL
-        with np.errstate(invalid="ignore"):
-            t_row[neg] = (state.beta[neg] - lo_b[neg]) / (-rate[neg])
-            t_row[pos] = (hi_b[pos] - state.beta[pos]) / rate[pos]
+        t_row.fill(np.inf)
+        np.divide(np.where(neg, beta - lo[state.basis], hi[state.basis] - beta),
+                  np.abs(rate), out=t_row, where=neg | (rate > RTOL))
         np.maximum(t_row, 0.0, out=t_row)
         t_own = hi[j] - lo[j]
         pmin = float(t_row.min()) if m else np.inf
@@ -281,7 +315,7 @@ def _run_phase(state: _State, cvec: np.ndarray, max_iter: int, bland_start: bool
             if not np.isfinite(t_own):
                 return UNBOUNDED, iters
             state.at_upper[j] = not state.at_upper[j]
-            state.beta += rate * t_own
+            beta += rate * t_own
             stall = 0
             continue
         if not np.isfinite(pmin):
@@ -298,25 +332,12 @@ def _run_phase(state: _State, cvec: np.ndarray, max_iter: int, bland_start: bool
             p = int(ties[np.argmax(np.abs(col[ties]))])
         t_star = float(t_row[p])
 
-        state.beta += rate * t_star
-        leaving = state.basis[p]
-        state.at_upper[leaving] = rate[p] > 0
-
-        piv = T[p, j]
-        T[p] /= piv
-        colv = T[:, j].copy()
-        colv[p] = 0.0
-        T -= np.outer(colv, T[p])
-        T[:, j] = 0.0
-        T[p, j] = 1.0
-        zrow -= zrow[j] * T[p, :ncols]
+        beta += rate * t_star
+        state.at_upper[state.basis[p]] = rate[p] > 0
+        _pivot(state, p, j)
+        zrow -= zrow[j] * T[:ncols, p]
         zrow[j] = 0.0
-
-        entering_val = (hi[j] if state.at_upper[j] else lo[j]) + d * t_star
-        state.beta[p] = entering_val
-        state.basic_mask[leaving] = False
-        state.basic_mask[j] = True
-        state.basis[p] = j
+        beta[p] = (hi[j] if state.at_upper[j] else lo[j]) + d * t_star
 
         stall = stall + 1 if t_star <= 1e-11 else 0
         if iters % REFRESH_EVERY == 0:
@@ -330,28 +351,13 @@ def _evict_artificials(state: _State, art_cols: np.ndarray) -> None:
     for p in range(state.m):
         if int(state.basis[p]) not in art_set:
             continue
-        row = state.T[p, : state.ncols]
+        row = state.T[: state.ncols, p]
         candidates = np.flatnonzero(
             (np.abs(row) > 1e-7) & ~state.basic_mask & state.movable
         )
         candidates = [int(j) for j in candidates if int(j) not in art_set]
         if not candidates:
             continue  # redundant row; artificial stays basic pinned at zero
-        j = candidates[0]
-        T = state.T
-        piv = T[p, j]
-        T[p] /= piv
-        colv = T[:, j].copy()
-        colv[p] = 0.0
-        T -= np.outer(colv, T[p])
-        T[:, j] = 0.0
-        T[p, j] = 1.0
-        leaving = state.basis[p]
-        state.basic_mask[leaving] = False
-        state.basic_mask[j] = True
-        state.basis[p] = j
+        _pivot(state, p, candidates[0])
         # entering at the degenerate artificial's value: recompute lazily
-        nb_vals = np.where(state.at_upper, np.where(np.isfinite(state.hi), state.hi, 0.0),
-                           np.where(np.isfinite(state.lo), state.lo, 0.0))
-        nb_vals[state.basis] = 0.0
-        state.beta[:] = state.T[:, state.ncols] - state.T[:, : state.ncols] @ nb_vals
+        _recompute_beta(state)

@@ -112,6 +112,7 @@ def test_criterion_1_polak3_transcription():
     )
 
 
+@pytest.mark.slow
 def test_criterion_2_cnma_polak3(polak3_cnma):
     runs, elapsed = polak3_cnma
     bests = [r.best_phi for r in runs]
@@ -125,6 +126,7 @@ def test_criterion_2_cnma_polak3(polak3_cnma):
     )
 
 
+@pytest.mark.slow
 def test_criterion_3_baseline_ordering(polak3_cnma, polak3_baselines):
     runs, _ = polak3_cnma
     random_best, nm_best, elapsed = polak3_baselines
@@ -239,6 +241,7 @@ def test_criterion_7_timeout_resilience():
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_parking_feasibility():
     problem = load_problem(builtin_problem_path("parking"))
     geometry = dict(problem.blackbox.params)
