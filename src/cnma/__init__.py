@@ -24,7 +24,6 @@ from .problem import (
     linear,
     load_problem,
     parse_problem,
-    save_problem,
 )
 from .trace import Trace, TraceRecorder, load_trace, validate_trace
 
@@ -64,7 +63,6 @@ __all__ = [
     "parse_problem",
     "random_search",
     "sample_uniform",
-    "save_problem",
     "validate_trace",
     "__version__",
 ]

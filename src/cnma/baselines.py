@@ -1,10 +1,10 @@
 """Baseline solvers: uniform random search and Nelder-Mead.
 
-Both treat the blackbox exactly like the main loop does: every call counts
-against the budget, timeouts are traced and discarded, and the best point is
-the best *actually feasible* evaluation seen.  Nelder-Mead handles
-constraints with a death penalty (infeasible or failed evaluations score
-+inf), which keeps the simplex method unmodified.
+Both spend their calls through the same `Session` as the main loop: every
+call counts against the budget, timeouts are traced and discarded, and the
+best point is the best *actually feasible* evaluation seen.  Nelder-Mead
+handles constraints with a death penalty (infeasible or failed evaluations
+score +inf), which keeps the simplex method unmodified.
 """
 from __future__ import annotations
 
@@ -12,13 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blackbox import OK, EvalCounter, EvalHarness, EvalRecord, sample_uniform
-from .problem import (
-    ProblemSpec,
-    check_constraints,
-    evaluate_linear,
-    require_valid,
-)
+from .blackbox import EvalCounter
+from .problem import ProblemSpec, require_valid
+from .session import BudgetExhausted, Sample, Session
 from .trace import TraceRecorder
 
 DIAMETER_EPS = 1e-8
@@ -36,115 +32,46 @@ class BaselineResult:
     counter: EvalCounter
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 class _TargetReached(Exception):
     pass
 
 
-class _Search:
-    """Budgeted evaluation with verdict rows and best-point tracking."""
+def _open(problem, solver, eval_budget, seed, objective_target, trace) -> Session:
+    require_valid(problem)
+    if eval_budget < 1:
+        raise ValueError("eval_budget must be at least 1")
+    return Session(problem, solver, eval_budget, seed, objective_target, trace)
 
-    def __init__(
-        self,
-        problem: ProblemSpec,
-        solver: str,
-        eval_budget: int,
-        seed: int,
-        objective_target: float | None,
-        trace: TraceRecorder | None,
-    ):
-        require_valid(problem)
-        if eval_budget < 1:
-            raise ValueError("eval_budget must be at least 1")
-        self.problem = problem
-        self.solver = solver
-        self.budget = eval_budget
-        self.target = objective_target
-        self.trace = trace or TraceRecorder(
-            problem.name, solver, problem.input_names(), problem.output_names()
-        )
-        self.harness = EvalHarness(
-            problem.blackbox, len(problem.outputs), problem.eval_timeout
-        )
-        self.rng = np.random.default_rng(seed)
-        self.iteration = 0
-        self.best_x: tuple[float, ...] | None = None
-        self.best_y: tuple[float, ...] | None = None
-        self.best_phi: float | None = None
 
-    def improves(self, phi: float) -> bool:
-        if self.best_phi is None:
-            return True
-        if self.problem.sense == "maximize":
-            return phi > self.best_phi
-        return phi < self.best_phi
+def _evaluate(session: Session, x) -> Sample | None:
+    """One call; stops the search right after the verdict row that hits the target."""
+    _, sample = session.evaluate(x, "eval")
+    if session.target_hit:
+        raise _TargetReached
+    return sample
 
-    def target_hit(self) -> bool:
-        if self.target is None or self.best_phi is None:
-            return False
-        if self.problem.sense == "maximize":
-            return self.best_phi >= self.target - 1e-12
-        return self.best_phi <= self.target + 1e-12
 
-    def draw(self) -> np.ndarray:
-        return sample_uniform(self.problem.inputs, 1, self.rng)[0]
-
-    def evaluate(self, x, event: str = "eval") -> EvalRecord:
-        if self.harness.counter.total_calls >= self.budget:
-            raise _BudgetExhausted
-        rec = self.harness.evaluate(x)
-        # wall_ms stays 0 in emitted rows: per-call timing is scheduler noise
-        # and would break byte-identical reruns; EvalRecord keeps the real one
-        if rec.status != OK:
-            self.trace.emit(
-                "timeout",
-                iteration=self.iteration,
-                eval_seq=rec.seq,
-                x=rec.x,
-                best_phi=self.best_phi,
-            )
-            return rec
-        assignment = self.problem.assignment(rec.x, rec.y)
-        phi = evaluate_linear(self.problem.objective, assignment)
-        self.trace.emit(
-            event,
-            iteration=self.iteration,
-            eval_seq=rec.seq,
-            x=rec.x,
-            y=rec.y,
-            phi=phi,
-            best_phi=self.best_phi,
-        )
-        feasible = check_constraints(self.problem.constraints, assignment)
-        if feasible and self.improves(phi):
-            self.best_x, self.best_y, self.best_phi = rec.x, rec.y, phi
-        self.trace.emit(
-            "feasible" if feasible else "infeasible",
-            iteration=self.iteration,
-            x=rec.x,
-            y=rec.y,
-            phi=phi,
-            best_phi=self.best_phi,
-        )
-        if self.target_hit():
-            raise _TargetReached
-        return rec
-
-    def result(self, stop_reason: str) -> BaselineResult:
-        self.harness.close()
-        return BaselineResult(
-            problem=self.problem.name,
-            solver=self.solver,
-            best_x=self.best_x,
-            best_y=self.best_y,
-            best_phi=self.best_phi,
-            feasible_found=self.best_phi is not None,
-            stop_reason=stop_reason,
-            counter=self.harness.counter,
-        )
+def _search(session: Session, body) -> BaselineResult:
+    """Run `body` until the budget is spent or the target is hit."""
+    stop = "eval_budget"
+    try:
+        body()
+    except BudgetExhausted:
+        pass
+    except _TargetReached:
+        stop = "objective_target"
+    finally:
+        session.harness.close()
+    return BaselineResult(
+        problem=session.problem.name,
+        solver=session.solver,
+        best_x=session.best_x,
+        best_y=session.best_y,
+        best_phi=session.best_phi,
+        feasible_found=session.best_phi is not None,
+        stop_reason=stop,
+        counter=session.harness.counter,
+    )
 
 
 def random_search(
@@ -155,17 +82,14 @@ def random_search(
     trace: TraceRecorder | None = None,
 ) -> BaselineResult:
     """Evaluate independent uniform samples until the budget runs out."""
-    search = _Search(problem, "random", eval_budget, seed, objective_target, trace)
-    stop = "eval_budget"
-    try:
+    session = _open(problem, "random", eval_budget, seed, objective_target, trace)
+
+    def body() -> None:
         while True:
-            search.iteration += 1
-            search.evaluate(search.draw())
-    except _BudgetExhausted:
-        pass
-    except _TargetReached:
-        stop = "objective_target"
-    return search.result(stop)
+            session.iteration += 1
+            _evaluate(session, session.draw())
+
+    return _search(session, body)
 
 
 def nelder_mead(
@@ -184,22 +108,17 @@ def nelder_mead(
     for v in problem.inputs:
         if v.kind != "continuous":
             raise ValueError("nelder-mead requires continuous inputs")
-    search = _Search(problem, "nelder-mead", eval_budget, seed, objective_target, trace)
-    lower = np.array([v.lower for v in problem.inputs])
-    upper = np.array([v.upper for v in problem.inputs])
+    session = _open(problem, "nelder-mead", eval_budget, seed, objective_target, trace)
+    lower, upper = session.lower, session.upper
     span = upper - lower
-    sign = -1.0 if problem.sense == "maximize" else 1.0
     n = len(problem.inputs)
 
     def score(x: np.ndarray) -> float:
         # death penalty: anything unusable is +inf
-        rec = search.evaluate(x)
-        if rec.status != OK:
+        sample = _evaluate(session, x)
+        if sample is None or not sample.feasible:
             return np.inf
-        assignment = problem.assignment(rec.x, rec.y)
-        if not check_constraints(problem.constraints, assignment):
-            return np.inf
-        return sign * evaluate_linear(problem.objective, assignment)
+        return session.sign * sample.phi
 
     def clamp(x: np.ndarray) -> np.ndarray:
         return np.clip(x, lower, upper)
@@ -217,17 +136,16 @@ def nelder_mead(
         fs = np.array([score(p) for p in xs])
         return xs, fs
 
-    stop = "eval_budget"
-    try:
-        xs, fs = build_simplex(search.draw())
+    def body() -> None:
+        xs, fs = build_simplex(session.draw())
         while True:
-            search.iteration += 1
+            session.iteration += 1
             order = np.argsort(fs, kind="stable")
             xs, fs = xs[order], fs[order]
             # converged, or every vertex is dead (no ordering to descend on):
             # restart from a fresh random simplex
             if _diameter(xs) < DIAMETER_EPS or not np.isfinite(fs[0]):
-                xs, fs = build_simplex(search.draw())
+                xs, fs = build_simplex(session.draw())
                 continue
             centroid = xs[:-1].mean(axis=0)
             xr = clamp(centroid + (centroid - xs[-1]))
@@ -253,11 +171,8 @@ def nelder_mead(
                     for i in range(1, n + 1):
                         xs[i] = clamp(xs[0] + 0.5 * (xs[i] - xs[0]))
                         fs[i] = score(xs[i])
-    except _BudgetExhausted:
-        pass
-    except _TargetReached:
-        stop = "objective_target"
-    return search.result(stop)
+
+    return _search(session, body)
 
 
 def _diameter(xs: np.ndarray) -> float:

@@ -1,9 +1,8 @@
 """Builtin benchmark blackboxes and the registry the harness resolves.
 
 Each builtin maps an input vector to an output vector and declares its
-arities.  Blackboxes that can block (sleep) are marked so tests know which
-ones exercise the timeout path.  Shipped problem files under problems/
-declare bounds, constraints and objectives for these functions.
+arities.  Shipped problem files under problems/ declare bounds, constraints
+and objectives for these functions.
 """
 from __future__ import annotations
 
@@ -27,7 +26,6 @@ class Builtin:
     fn: Callable
     in_arity: int
     out_arity: int
-    may_block: bool = False
 
 
 def polak3_forward(x) -> np.ndarray:
@@ -203,9 +201,9 @@ def register_builtin(builtin: Builtin) -> None:
 for _b in (
     Builtin("polak3", polak3_forward, 12, 10),
     Builtin("rosenbrock", rosenbrock_forward, 2, 1),
-    Builtin("band", band_forward, 4, 1, may_block=True),
+    Builtin("band", band_forward, 4, 1),
     Builtin("parking", parking_forward, 4, 3),
-    Builtin("sleeper", sleeper_forward, 1, 1, may_block=True),
+    Builtin("sleeper", sleeper_forward, 1, 1),
 ):
     register_builtin(_b)
 

@@ -11,7 +11,8 @@ Subprocess blackboxes speak a line protocol on stdin/stdout:
     response:  OK <m> <y1> ... <ym>\n   or   FAIL <message>\n
 
 Numbers are decimal text at full precision (repr round-trip).  A response
-that cannot be parsed yields an Error outcome; a timeout kills the child.
+that cannot be parsed yields an Error outcome and kills the child, since a
+later line could be the answer to this request; a timeout kills it too.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import shlex
 import subprocess
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -271,7 +272,12 @@ class _SubprocessBackend:
         if line is None:
             self._kill()
             return TIMEOUT, f"no result within {timeout} s"
-        return _parse_response(line)
+        try:
+            return _parse_response(line)
+        except _ProtocolError as exc:
+            # out of step with the protocol: start over with a fresh child
+            self._kill()
+            return ERROR, f"parse: {exc}"
 
     def close(self) -> None:
         if self._proc is not None and self._proc.poll() is None:
@@ -286,25 +292,30 @@ class _SubprocessBackend:
         self._kill()
 
 
+class _ProtocolError(ValueError):
+    pass
+
+
 def _parse_response(line: bytes) -> tuple[str, list | str]:
+    """(OK, values) or (ERROR, message) for FAIL; raises _ProtocolError."""
     try:
         text = line.decode("ascii").strip()
     except UnicodeDecodeError:
-        return ERROR, "parse: response is not ascii"
+        raise _ProtocolError("response is not ascii") from None
     tokens = text.split()
     if not tokens:
-        return ERROR, "parse: empty response line"
+        raise _ProtocolError("empty response line")
     if tokens[0] == "FAIL":
         return ERROR, " ".join(tokens[1:]) or "blackbox reported failure"
     if tokens[0] != "OK":
-        return ERROR, f"parse: unexpected token '{tokens[0]}'"
+        raise _ProtocolError(f"unexpected response '{text[:200]}'")
     try:
         m = int(tokens[1])
         values = [float(t) for t in tokens[2 : 2 + m]]
     except (IndexError, ValueError):
-        return ERROR, f"parse: malformed OK response '{text}'"
+        raise _ProtocolError(f"malformed OK response '{text[:200]}'") from None
     if len(values) != m or len(tokens) != 2 + m:
-        return ERROR, f"parse: arity mismatch in response '{text}'"
+        raise _ProtocolError(f"arity mismatch in response '{text[:200]}'")
     return OK, values
 
 
@@ -365,16 +376,3 @@ class EvalHarness:
     def __exit__(self, *exc) -> None:
         self.close()
 
-
-def evaluate(
-    ref: BlackboxRef, x: Sequence[float], timeout: float, out_arity: int | None = None
-) -> EvalRecord:
-    """One-shot convenience wrapper around a transient harness."""
-    if out_arity is None:
-        if ref.kind != "builtin":
-            raise ValueError("out_arity is required for subprocess blackboxes")
-        from .benchmarks import get_builtin
-
-        out_arity = get_builtin(ref.target).out_arity
-    with EvalHarness(ref, out_arity, timeout) as harness:
-        return harness.evaluate(x)

@@ -17,21 +17,20 @@ runs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields as dataclass_fields
-from typing import Sequence
+from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
 from . import milp
-from .blackbox import OK, EvalCounter, EvalHarness, EvalRecord, sample_uniform
+from .blackbox import EvalCounter, EvalRecord
 from .mlp import Dataset, TrainingDivergedError, fit, init_network
 from .problem import (
     ProblemSpec,
-    check_constraints,
     constraint_violation,
     evaluate_linear,
     require_valid,
 )
+from .session import BudgetExhausted, Sample, Session
 from .simplex import LpNumericalError
 from .trace import TraceRecorder
 
@@ -96,106 +95,31 @@ class CnmaResult:
     n_samples: int
 
 
-class _BudgetExhausted(Exception):
-    pass
+class _Run(Session):
+    """A session that keeps its ok samples: they are the training data."""
 
-
-class _Run:
-    def __init__(self, problem: ProblemSpec, config: CnmaConfig, trace: TraceRecorder):
-        self.problem = problem
+    def __init__(self, problem: ProblemSpec, config: CnmaConfig, trace: TraceRecorder | None):
+        super().__init__(
+            problem, "cnma", config.eval_budget, config.seed,
+            config.objective_target, trace,
+        )
         self.config = config
-        self.trace = trace
-        self.harness = EvalHarness(
-            problem.blackbox, len(problem.outputs), problem.eval_timeout
-        )
-        self.rng = np.random.default_rng(config.seed)
-        self.xs: list[tuple[float, ...]] = []
-        self.ys: list[tuple[float, ...]] = []
-        self.best_x: tuple[float, ...] | None = None
-        self.best_y: tuple[float, ...] | None = None
-        self.best_phi: float | None = None
-        self.target_hit = False
-        self.iteration = 0
-        self.lower = np.array([v.lower for v in problem.inputs])
-        self.upper = np.array([v.upper for v in problem.inputs])
+        self.samples: list[Sample] = []
 
-    def improves(self, phi: float) -> bool:
-        if self.best_phi is None:
-            return True
-        if self.problem.sense == "maximize":
-            return phi > self.best_phi
-        return phi < self.best_phi
+    def sample(self, x, event: str) -> tuple[EvalRecord, Sample | None]:
+        """`evaluate`, keeping an ok result as a training sample."""
+        rec, sample = self.evaluate(x, event)
+        if sample is not None:
+            self.samples.append(sample)
+        return rec, sample
 
-    def check_target(self) -> None:
-        target = self.config.objective_target
-        if target is None or self.best_phi is None:
-            return
-        if self.problem.sense == "maximize":
-            self.target_hit = self.best_phi >= target - 1e-12
-        else:
-            self.target_hit = self.best_phi <= target + 1e-12
-
-    def ensure_budget(self) -> None:
-        if self.harness.counter.total_calls >= self.config.eval_budget:
-            raise _BudgetExhausted
-
-    def evaluate(self, x, event: str) -> EvalRecord:
-        """One accounted blackbox call plus its trace row(s)."""
-        self.ensure_budget()
-        rec = self.harness.evaluate(x)
-        # wall_ms stays 0 in emitted rows: per-call timing is scheduler noise
-        # and would break byte-identical reruns; EvalRecord keeps the real one
-        if rec.status != OK:
-            # errors share the timeout row; both are discarded identically
-            self.trace.emit(
-                "timeout",
-                iteration=self.iteration,
-                eval_seq=rec.seq,
-                x=rec.x,
-                best_phi=self.best_phi,
-            )
-            return rec
-        assignment = self.problem.assignment(rec.x, rec.y)
-        phi = evaluate_linear(self.problem.objective, assignment)
-        self.trace.emit(
-            event,
-            iteration=self.iteration,
-            eval_seq=rec.seq,
-            x=rec.x,
-            y=rec.y,
-            phi=phi,
-            best_phi=self.best_phi,
-        )
-        feasible = check_constraints(self.problem.constraints, assignment)
-        if feasible and self.improves(phi):
-            self.best_x, self.best_y, self.best_phi = rec.x, rec.y, phi
-            self.check_target()
-        self.trace.emit(
-            "feasible" if feasible else "infeasible",
-            iteration=self.iteration,
-            x=rec.x,
-            y=rec.y,
-            phi=phi,
-            best_phi=self.best_phi,
-        )
-        self.xs.append(rec.x)
-        self.ys.append(rec.y)
-        return rec
-
-    def was_feasible(self, rec: EvalRecord) -> bool:
-        assignment = self.problem.assignment(rec.x, rec.y)
-        return check_constraints(self.problem.constraints, assignment)
-
-    def draw(self) -> np.ndarray:
-        return sample_uniform(self.problem.inputs, 1, self.rng)[0]
-
-    def random_fill(self, count: int) -> None:
-        """Add `count` fresh random samples, retrying through timeouts."""
-        added = 0
+    def random_fill(self, count: int, event: str = "random_fill") -> None:
+        """Add `count` random samples as `event` rows; retries are random_fill rows."""
+        added, retry = 0, False
         while added < count:
-            rec = self.evaluate(self.draw(), "random_fill")
-            if rec.status == OK:
-                added += 1
+            _, sample = self.sample(self.draw(), "random_fill" if retry else event)
+            retry = sample is None
+            added += not retry
 
 
 def cnma_run(
@@ -205,23 +129,19 @@ def cnma_run(
 ) -> CnmaResult:
     require_valid(problem)
     config = config or CnmaConfig.for_problem(problem)
-    if trace is None:
-        trace = TraceRecorder(
-            problem.name, "cnma", problem.input_names(), problem.output_names()
-        )
     run = _Run(problem, config, trace)
     records: list[IterationRecord] = []
     stop_reason = "max_iterations"
     try:
-        _initial_samples(run)
+        run.random_fill(config.n_initial, "init")
         for it in range(1, config.max_iterations + 1):
             if run.target_hit:
                 break
-            if not run.xs:
+            if not run.samples:
                 run.random_fill(1)
             run.iteration = it
             records.append(_iterate(run, it))
-    except _BudgetExhausted:
+    except BudgetExhausted:
         stop_reason = "eval_budget"
     finally:
         run.harness.close()
@@ -236,20 +156,8 @@ def cnma_run(
         stop_reason=stop_reason,
         iterations=records,
         counter=run.harness.counter,
-        n_samples=len(run.xs),
+        n_samples=len(run.samples),
     )
-
-
-def _initial_samples(run: _Run) -> None:
-    got = 0
-    refill = False
-    while got < run.config.n_initial:
-        rec = run.evaluate(run.draw(), "random_fill" if refill else "init")
-        if rec.status == OK:
-            got += 1
-            refill = False
-        else:
-            refill = True
 
 
 def _train_seed(seed: int, iteration: int) -> int:
@@ -266,26 +174,21 @@ def _probe_indices(run: _Run) -> list[int]:
     The two most recent samples are always appended so freshly corrected
     regions get re-probed after retraining.
     """
-    problem = run.problem
-    sign = -1.0 if problem.sense == "maximize" else 1.0
-    feasible_keys = []
-    infeasible_keys = []
-    for i, (x, y) in enumerate(zip(run.xs, run.ys)):
-        assignment = problem.assignment(x, y)
-        if check_constraints(problem.constraints, assignment):
-            phi = evaluate_linear(problem.objective, assignment)
-            feasible_keys.append((sign * phi, i))
-        else:
-            worst = max(
-                (constraint_violation(c, assignment) for c in problem.constraints),
-                default=0.0,
-            )
-            infeasible_keys.append((worst, i))
-    pool = feasible_keys or infeasible_keys
+    pool = [(run.sign * s.phi, i) for i, s in enumerate(run.samples) if s.feasible]
+    if not pool:
+        pool = [(_worst_violation(run.problem, s), i) for i, s in enumerate(run.samples)]
     pool.sort(key=lambda pair: pair[0])
     ranked = [i for _, i in pool[: run.config.pattern_probes]]
-    recent = list(range(len(run.xs)))[-2:]
+    recent = list(range(len(run.samples)))[-2:]
     return list(dict.fromkeys(ranked + recent))
+
+
+def _worst_violation(problem: ProblemSpec, sample: Sample) -> float:
+    assignment = problem.assignment(sample.x, sample.y)
+    return max(
+        (constraint_violation(c, assignment) for c in problem.constraints),
+        default=0.0,
+    )
 
 
 def _propose(run: _Run, net, model) -> tuple[str, dict | None, float | None]:
@@ -296,8 +199,7 @@ def _propose(run: _Run, net, model) -> tuple[str, dict | None, float | None]:
     regions of good known samples then supplies candidates the branch and
     bound could not reach, each via a single restricted solve.
     """
-    config, problem = run.config, run.problem
-    sign = -1.0 if problem.sense == "maximize" else 1.0
+    config, sign = run.config, run.sign
     candidates: list[tuple[float, dict]] = []
     full_status = None
     try:
@@ -316,7 +218,7 @@ def _propose(run: _Run, net, model) -> tuple[str, dict | None, float | None]:
         binaries = [v.name for v in model.variables if v.kind == "binary"]
         seen: set[tuple] = set()
         for i in _probe_indices(run):
-            pattern = milp.activation_pattern(net, run.xs[i])
+            pattern = milp.activation_pattern(net, run.samples[i].x)
             key = tuple(pattern.get(name, -1.0) for name in binaries)
             if key in seen:
                 continue
@@ -355,7 +257,9 @@ def _iterate(run: _Run, it: int) -> IterationRecord:
     problem, config = run.problem, run.config
     tseed = _train_seed(config.seed, it)
     sizes = (len(problem.inputs), *config.net_hidden, len(problem.outputs))
-    data = Dataset(np.array(run.xs), np.array(run.ys))
+    data = Dataset(
+        np.array([s.x for s in run.samples]), np.array([s.y for s in run.samples])
+    )
 
     train_loss = None
     assignment = None
@@ -403,16 +307,15 @@ def _iterate(run: _Run, it: int) -> IterationRecord:
         best_phi=run.best_phi,
     )
 
-    rec = run.evaluate(x_star, "eval")
-    if rec.status != OK:
+    rec, sample = run.sample(x_star, "eval")
+    if sample is None:
         run.random_fill(config.random_fill_count)
         return IterationRecord(
             it, train_loss, milp_status, tuple(x_star), y_hat,
             rec.status, None, None, "random", run.best_phi,
         )
-    feasible = run.was_feasible(rec)
     return IterationRecord(
         it, train_loss, milp_status, tuple(x_star), y_hat,
-        rec.status, rec.y, feasible, "success" if feasible else "failure",
-        run.best_phi,
+        rec.status, sample.y, sample.feasible,
+        "success" if sample.feasible else "failure", run.best_phi,
     )

@@ -178,7 +178,6 @@ def solve(
     model: MilpModel,
     node_budget: int = 100000,
     time_budget: float | None = None,
-    abs_gap: float = ABS_GAP,
 ) -> MilpSolution:
     """Best-bound branch and bound with most-fractional branching.
 
@@ -212,7 +211,7 @@ def solve(
             break
         bound, negdepth, _, lo_nd, hi_nd = heappop(heap)
         best_open_bound = bound
-        if bound >= best_obj - abs_gap:
+        if bound >= best_obj - ABS_GAP:
             heap.clear()
             break
         res = lp(lo_nd, hi_nd)
@@ -223,7 +222,7 @@ def solve(
             numerically_clean = False
             continue
         obj = res.objective
-        if obj >= best_obj - abs_gap:
+        if obj >= best_obj - ABS_GAP:
             continue
         x = res.x
         if comp.int_cols.size:

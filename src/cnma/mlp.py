@@ -7,9 +7,7 @@ network and never mutates its argument.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -239,42 +237,3 @@ def _loss_gradient_normalized(
         if i > 0:
             delta = (delta @ net.weights[i]) * (activations[i] > 0.0)
     return grads_w, grads_b
-
-
-# ---------------------------------------------------------------------------
-# Surrogate dump/load (same JSON text format family as problem files)
-
-
-def surrogate_to_dict(net: MlpSurrogate) -> dict:
-    return {
-        "layer_sizes": list(net.layer_sizes),
-        "weights": [w.tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases],
-        "input_shift": net.input_shift.tolist(),
-        "input_scale": net.input_scale.tolist(),
-        "output_shift": net.output_shift.tolist(),
-        "output_scale": net.output_scale.tolist(),
-    }
-
-
-def surrogate_from_dict(data: dict) -> MlpSurrogate:
-    return MlpSurrogate(
-        tuple(int(s) for s in data["layer_sizes"]),
-        [np.asarray(w, dtype=float) for w in data["weights"]],
-        [np.asarray(b, dtype=float) for b in data["biases"]],
-        np.asarray(data["input_shift"], dtype=float),
-        np.asarray(data["input_scale"], dtype=float),
-        np.asarray(data["output_shift"], dtype=float),
-        np.asarray(data["output_scale"], dtype=float),
-    )
-
-
-def save_surrogate(net: MlpSurrogate, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(surrogate_to_dict(net), fh)
-        fh.write("\n")
-
-
-def load_surrogate(path: str | Path) -> MlpSurrogate:
-    with open(path) as fh:
-        return surrogate_from_dict(json.load(fh))

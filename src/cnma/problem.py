@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -337,9 +337,3 @@ def load_problem(path: str | Path) -> ProblemSpec:
         except json.JSONDecodeError as exc:
             raise ProblemFormatError(f"{path}: invalid JSON: {exc}") from exc
     return parse_problem(data)
-
-
-def save_problem(spec: ProblemSpec, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(problem_to_dict(spec), fh, indent=2)
-        fh.write("\n")

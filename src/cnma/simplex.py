@@ -67,7 +67,6 @@ def solve_lp(
     lower,
     upper,
     maximize: bool = False,
-    max_iter: int | None = None,
 ) -> LpResult:
     """Solve the LP; relations is a sequence over {"<=", ">=", "="}."""
     c = np.asarray(c, dtype=float)
@@ -93,12 +92,12 @@ def solve_lp(
         return LpResult(INFEASIBLE, None, None, 0)
 
     obj = -c if maximize else c
-    result = _simplex(obj, A, relations, b, lower, upper, max_iter, False)
+    result = _simplex(obj, A, relations, b, lower, upper, False)
     if result.status == OPTIMAL:
         # cheap residual audit; rerun deterministically under Bland's rule if
         # the tableau drifted
         if _max_violation(A, relations, b, lower, upper, result.x) > 1e-6:
-            result = _simplex(obj, A, relations, b, lower, upper, max_iter, True)
+            result = _simplex(obj, A, relations, b, lower, upper, True)
     if result.status == OPTIMAL:
         value = float(c @ result.x)
         return LpResult(OPTIMAL, result.x, value, result.iterations)
@@ -121,7 +120,7 @@ def _max_violation(A, relations, b, lower, upper, x) -> float:
     return worst
 
 
-def _simplex(c, A, relations, b, lower, upper, max_iter, bland_start) -> LpResult:
+def _simplex(c, A, relations, b, lower, upper, bland_start) -> LpResult:
     m, n = A.shape
     if m == 0:
         x = np.where(c > 0, lower, np.where(c < 0, upper, lower))
@@ -181,8 +180,7 @@ def _simplex(c, A, relations, b, lower, upper, max_iter, bland_start) -> LpResul
         basic_mask[col] = True
 
     movable = (hi - lo) > 0
-    if max_iter is None:
-        max_iter = 500 + 40 * (m + n)
+    max_iter = 500 + 40 * (m + n)
 
     state = _State(T, basis, beta, at_upper, basic_mask, lo, hi, movable, m, ncols)
 

@@ -14,9 +14,9 @@ the same seed produces byte-identical data columns.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 EVENTS = (
     "init",

@@ -10,7 +10,6 @@ from cnma.blackbox import (
     OK,
     TIMEOUT,
     EvalHarness,
-    evaluate,
     resolve_timeout,
     sample_uniform,
 )
@@ -57,11 +56,6 @@ class TestBuiltinEvaluation:
             rec = h.evaluate([1.0, 1.0])
         assert rec.status == ERROR
         assert "arity" in rec.message
-
-    def test_one_shot_wrapper(self):
-        rec = evaluate(BlackboxRef("builtin", "rosenbrock"), [1.0, 1.0], 5.0)
-        assert rec.status == OK
-        assert rec.y == pytest.approx([0.0])
 
 
 class TestTimeouts:
@@ -187,6 +181,81 @@ class TestSubprocessProtocol:
         assert rec.status == TIMEOUT
         assert again.status == TIMEOUT  # respawned child, same behavior
         assert h.counter.timeouts == 2
+
+
+# Answers "OK 1 <x1>" to every request.  While the marker file is absent it
+# first creates the marker, then runs FAULT: the fault hits one child once,
+# and the respawned child behaves.
+FAULTY_RESPONDER = """\
+import os, sys, time
+MARKER = {marker!r}
+for line in sys.stdin:
+    x = float(line.split()[3])
+    if not os.path.exists(MARKER):
+        open(MARKER, "w").close()
+{fault}
+    sys.stdout.write("OK 1 %r\\n" % x)
+    sys.stdout.flush()
+"""
+
+FAULTS = {
+    # a debug line before the first answer
+    "stray_line": 'print("debug: starting", flush=True)',
+    "partial_then_stall": 'sys.stdout.write("OK 1 0.5"); sys.stdout.flush(); time.sleep(600)',
+    "crash_mid_response": 'sys.stdout.write("OK 1 0.5"); sys.stdout.flush(); os._exit(3)',
+    "nan_output": 'print("OK 1 nan", flush=True); continue',
+    "megabyte_line": 'print("OK 1 " + "1.0 " * (1 << 18), flush=True); continue',
+}
+
+
+def faulty_harness(tmp_path, fault, timeout=10.0):
+    script = tmp_path / f"{fault}.py"
+    script.write_text(
+        FAULTY_RESPONDER.format(
+            marker=str(tmp_path / f"{fault}.marker"),
+            fault="        " + FAULTS[fault],
+        )
+    )
+    return EvalHarness(subprocess_ref(script), 1, timeout=timeout)
+
+
+class TestSubprocessFaults:
+    def test_stray_line_never_shifts_answers(self, tmp_path):
+        # the stray line fails the first call; every later y is its own x
+        with faulty_harness(tmp_path, "stray_line") as h:
+            recs = [h.evaluate([float(x)]) for x in range(1, 6)]
+        assert recs[0].status == ERROR
+        assert "parse" in recs[0].message
+        for x, rec in zip(range(1, 6), recs):
+            if rec.status == OK:
+                assert rec.y == (float(x),)
+        assert [r.status for r in recs[1:]] == [OK] * 4
+        assert h.counter.total_calls == 5
+
+    @pytest.mark.parametrize(
+        "fault, timeout, status",
+        [
+            ("partial_then_stall", 2.0, TIMEOUT),
+            ("crash_mid_response", 10.0, ERROR),
+            ("nan_output", 10.0, ERROR),
+            ("megabyte_line", 10.0, ERROR),
+        ],
+    )
+    def test_fault_counts_once_and_next_call_recovers(
+        self, tmp_path, fault, timeout, status
+    ):
+        with faulty_harness(tmp_path, fault, timeout) as h:
+            bad = h.evaluate([1.0])
+            good = [h.evaluate([x]) for x in (2.0, 3.0)]
+        assert bad.status == status
+        assert bad.y is None
+        assert len(bad.message) < 1000
+        assert [(r.status, r.y) for r in good] == [(OK, (2.0,)), (OK, (3.0,))]
+        assert [r.seq for r in (bad, *good)] == [1, 2, 3]
+        c = h.counter
+        assert (c.total_calls, c.ok, c.timeouts, c.errors) == (
+            3, 2, int(status == TIMEOUT), int(status == ERROR)
+        )
 
 
 class TestSampleUniform:

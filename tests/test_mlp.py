@@ -9,8 +9,6 @@ from cnma.mlp import (
     forward,
     init_network,
     loss_gradient,
-    surrogate_from_dict,
-    surrogate_to_dict,
     training_loss,
 )
 
@@ -217,10 +215,3 @@ class TestGradient:
         assert_gradient_close(gw, fd_w)
         assert_gradient_close(gb, fd_b)
 
-
-class TestSerialization:
-    def test_round_trip(self):
-        net = init_network((3, 5, 2), seed=13)
-        back = surrogate_from_dict(surrogate_to_dict(net))
-        x = np.array([0.1, -2.0, 0.8])
-        assert forward(back, x) == pytest.approx(forward(net, x), abs=0)
