@@ -11,7 +11,7 @@ the toolkit.
 from .baselines import BaselineResult, nelder_mead, random_search
 from .blackbox import EvalCounter, EvalHarness, EvalRecord, sample_uniform
 from .loop import CnmaConfig, CnmaResult, IterationRecord, cnma_run
-from .milp import MilpModel, MilpSolution, MilpVariable, assemble_problem_milp
+from .milp import MilpModel, MilpSolution, assemble_problem_milp
 from .mlp import Dataset, MlpSurrogate, fit, forward, init_network
 from .problem import (
     BlackboxRef,
@@ -43,7 +43,6 @@ __all__ = [
     "LinearExpr",
     "MilpModel",
     "MilpSolution",
-    "MilpVariable",
     "MlpSurrogate",
     "ProblemSpec",
     "Trace",

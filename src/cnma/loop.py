@@ -215,17 +215,19 @@ def _propose(run: _Run, net, model) -> tuple[str, dict | None, float | None]:
         full_status = "numerical_failed"
 
     if config.pattern_probes > 0:
-        binaries = [v.name for v in model.variables if v.kind == "binary"]
-        seen: set[tuple] = set()
+        seen: set[bytes] = set()
         for i in _probe_indices(run):
-            pattern = milp.activation_pattern(net, run.samples[i].x)
-            key = tuple(pattern.get(name, -1.0) for name in binaries)
+            probe = milp.restrict_binaries(
+                model, milp.activation_pattern(net, run.samples[i].x)
+            )
+            # probes differ only in the indicators they pin, where lower == upper
+            key = probe.lower.tobytes()
             if key in seen:
                 continue
             seen.add(key)
             try:
                 sol = milp.solve(
-                    milp.restrict_binaries(model, pattern),
+                    probe,
                     node_budget=8,
                     time_budget=config.milp_time_budget,
                 )

@@ -1,19 +1,28 @@
-"""MILP model, ReLU-network big-M encoding, and branch and bound.
+"""MILP model in array form, ReLU-network big-M encoding, and branch and bound.
 
-The encoder turns a trained `MlpSurrogate` into linear constraints over named
-variables: per-neuron interval bounds are propagated from the input box, each
-unstable neuron gets one binary indicator and four big-M rows, and stable
-neurons degenerate to equalities.  `solve` runs best-bound branch and bound
-over the dense simplex in `simplex.py`; `brute_force_milp` enumerates integer
-assignments and is the reference oracle for it.
+A `MilpModel` is one compiled MILP: variable names and bounds, the integer
+columns, the rows `A x (relations) b` and the objective vector.
+`encode_network` writes a trained `MlpSurrogate` straight into that form:
+per-neuron interval bounds are propagated from the input box, each stable
+neuron becomes one equality row and each unstable neuron a binary indicator
+column and four big-M rows.  `conjoin` appends rows and an objective written
+over variable names, such as a problem's constraints; `milp_model` builds a
+model from named variables the same way.  `restrict_binaries` pins the
+indicators to one input's ReLU pattern by changing bounds only, so an
+activation-region probe shares the rows of the full model.  `solve` runs
+best-bound branch and bound over the dense simplex in `simplex.py`;
+`brute_force_milp` enumerates integer assignments and is the reference oracle
+for it.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import time
 from dataclasses import dataclass, field
 from heapq import heappush, heappop
+from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +34,6 @@ from .problem import (
     LinearExpr,
     ProblemSpec,
     VariableSpec,
-    linear,
 )
 
 INT_TOL = 1e-6  # integrality tolerance on branching variables
@@ -46,60 +54,31 @@ class MilpModelError(ValueError):
 
 
 class EncodingError(ValueError):
-    """Network could not be encoded (degenerate scaling or name clash)."""
-
-
-@dataclass(frozen=True)
-class MilpVariable:
-    name: str
-    kind: str  # continuous | binary | integer
-    lower: float
-    upper: float
+    """Network could not be encoded (degenerate scaling or bounds)."""
 
 
 @dataclass
 class MilpModel:
-    variables: list[MilpVariable]
-    constraints: list[LinearConstraint]
-    objective: LinearExpr = field(default_factory=LinearExpr)
+    """min or max  c @ x + obj_const  subject to  A x (relations) b,
+    lower <= x <= upper, and x integral on `int_cols`.
+
+    `indicators` has one entry per hidden neuron of an encoded network, in
+    layer order: the column of its binary indicator, or -1 where the encoder
+    proved the neuron stable.  Build models with `milp_model`,
+    `encode_network` and `conjoin`, which validate them.
+    """
+
+    names: list[str]
+    lower: np.ndarray
+    upper: np.ndarray
+    int_cols: np.ndarray
+    A: np.ndarray
+    relations: list[str]
+    b: np.ndarray
+    c: np.ndarray
+    obj_const: float = 0.0
     sense: str = "minimize"
-
-    def names(self) -> list[str]:
-        return [v.name for v in self.variables]
-
-    def validate(self) -> list[str]:
-        errors: list[str] = []
-        seen: set[str] = set()
-        for v in self.variables:
-            if v.name in seen:
-                errors.append(f"duplicate variable '{v.name}'")
-            seen.add(v.name)
-            if v.kind not in MILP_KINDS:
-                errors.append(f"variable '{v.name}' has unknown kind '{v.kind}'")
-            if not (math.isfinite(v.lower) and math.isfinite(v.upper)):
-                errors.append(f"variable '{v.name}' has non-finite bounds")
-            elif v.kind == "binary" and not (
-                -FEAS_TOL <= v.lower <= 1 + FEAS_TOL
-                and -FEAS_TOL <= v.upper <= 1 + FEAS_TOL
-            ):
-                errors.append(
-                    f"binary '{v.name}' has bounds outside [0,1]: "
-                    f"[{v.lower}, {v.upper}]"
-                )
-        for i, c in enumerate(self.constraints):
-            if c.relation not in ("<=", ">=", "="):
-                errors.append(f"constraint {i} has unknown relation '{c.relation}'")
-            for _, var in c.expr.terms:
-                if var not in seen:
-                    errors.append(f"constraint {i} references unknown variable '{var}'")
-            if not math.isfinite(c.rhs):
-                errors.append(f"constraint {i} has non-finite rhs")
-        for _, var in self.objective.terms:
-            if var not in seen:
-                errors.append(f"objective references unknown variable '{var}'")
-        if self.sense not in ("minimize", "maximize"):
-            errors.append(f"unknown sense '{self.sense}'")
-        return errors
+    indicators: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
 
 
 @dataclass
@@ -111,65 +90,120 @@ class MilpSolution:
     best_bound: float | None = None
 
 
-@dataclass
-class _Compiled:
-    names: list[str]
-    index: dict[str, int]
-    c: np.ndarray
-    obj_const: float
-    A: np.ndarray
-    relations: list[str]
-    b: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    int_cols: np.ndarray  # indices of binary/integer variables
+def milp_model(
+    variables: Sequence[VariableSpec],
+    constraints: Sequence[LinearConstraint] = (),
+    objective: LinearExpr = LinearExpr(),
+    sense: str = "minimize",
+) -> MilpModel:
+    """Compile a model written over named variables.
 
-
-def _compile(model: MilpModel) -> _Compiled:
-    errors = model.validate()
+    Each variable's kind is continuous, binary or integer.  Raises
+    `MilpModelError` on an invalid model.
+    """
+    errors: list[str] = []
+    for v in variables:
+        if v.kind not in MILP_KINDS:
+            errors.append(f"variable '{v.name}' has unknown kind '{v.kind}'")
+        elif v.kind == "binary" and not (
+            -FEAS_TOL <= v.lower <= 1 + FEAS_TOL
+            and -FEAS_TOL <= v.upper <= 1 + FEAS_TOL
+        ):
+            errors.append(
+                f"binary '{v.name}' has bounds outside [0,1]: "
+                f"[{v.lower}, {v.upper}]"
+            )
     if errors:
         raise MilpModelError("; ".join(errors))
-    names = model.names()
-    index = {name: i for i, name in enumerate(names)}
-    n = len(names)
-    m = len(model.constraints)
-    c = np.zeros(n)
-    for coef, var in model.objective.terms:
-        c[index[var]] += coef
-    A = np.zeros((m, n))
-    b = np.zeros(m)
-    relations = []
-    for i, cons in enumerate(model.constraints):
-        for coef, var in cons.expr.terms:
-            A[i, index[var]] += coef
-        b[i] = cons.rhs - cons.expr.constant
-        relations.append(cons.relation)
-    lower = np.array([v.lower for v in model.variables], dtype=float)
-    upper = np.array([v.upper for v in model.variables], dtype=float)
-    int_cols = np.array(
-        [i for i, v in enumerate(model.variables) if v.kind != "continuous"],
-        dtype=np.intp,
+    n = len(variables)
+    columns = MilpModel(
+        names=[v.name for v in variables],
+        lower=np.array([v.lower for v in variables], dtype=float),
+        upper=np.array([v.upper for v in variables], dtype=float),
+        int_cols=np.array(
+            [j for j, v in enumerate(variables) if v.kind != "continuous"],
+            dtype=np.intp,
+        ),
+        A=np.zeros((0, n)),
+        relations=[],
+        b=np.zeros(0),
+        c=np.zeros(n),
     )
-    return _Compiled(names, index, c, model.objective.constant, A, relations, b, lower, upper, int_cols)
+    return conjoin(columns, constraints, objective, sense)
 
 
-def _check_assignment(comp: _Compiled, x: np.ndarray) -> float:
+def conjoin(
+    model: MilpModel,
+    constraints: Sequence[LinearConstraint] = (),
+    objective: LinearExpr = LinearExpr(),
+    sense: str = "minimize",
+) -> MilpModel:
+    """`model` with `constraints` appended as rows and its objective replaced.
+
+    Constraints and objective are written over the model's variable names;
+    this is the one place that resolves names to columns.  Raises
+    `MilpModelError` listing every problem found.
+    """
+    errors: list[str] = []
+    index: dict[str, int] = {}
+    for j, name in enumerate(model.names):
+        if name in index:
+            errors.append(f"duplicate variable '{name}'")
+        index[name] = j
+    for j in np.flatnonzero(~(np.isfinite(model.lower) & np.isfinite(model.upper))):
+        errors.append(f"variable '{model.names[j]}' has non-finite bounds")
+    rows = np.zeros((len(constraints), len(model.names)))
+    b = np.zeros(len(constraints))
+    for i, cons in enumerate(constraints):
+        label = f"constraint {len(model.relations) + i}"
+        if cons.relation not in ("<=", ">=", "="):
+            errors.append(f"{label} has unknown relation '{cons.relation}'")
+        for coef, var in cons.expr.terms:
+            if var in index:
+                rows[i, index[var]] += coef
+            else:
+                errors.append(f"{label} references unknown variable '{var}'")
+        if not math.isfinite(cons.rhs):
+            errors.append(f"{label} has non-finite rhs")
+        b[i] = cons.rhs - cons.expr.constant
+    c = np.zeros(len(model.names))
+    for coef, var in objective.terms:
+        if var in index:
+            c[index[var]] += coef
+        else:
+            errors.append(f"objective references unknown variable '{var}'")
+    if sense not in ("minimize", "maximize"):
+        errors.append(f"unknown sense '{sense}'")
+    if errors:
+        raise MilpModelError("; ".join(errors))
+    return dataclasses.replace(
+        model,
+        A=np.vstack([model.A, rows]),
+        relations=model.relations + [cons.relation for cons in constraints],
+        b=np.concatenate([model.b, b]),
+        c=c,
+        obj_const=objective.constant,
+        sense=sense,
+    )
+
+
+def _check_assignment(model: MilpModel, x: np.ndarray) -> float:
     """Worst normalized violation over rows, bounds and integrality."""
     worst = 0.0
-    if len(comp.relations):
-        resid = comp.A @ x - comp.b
-        scale = np.maximum(1.0, np.abs(comp.b))
-        for i, rel in enumerate(comp.relations):
+    if len(model.relations):
+        resid = model.A @ x - model.b
+        scale = np.maximum(1.0, np.abs(model.b))
+        for i, rel in enumerate(model.relations):
             if rel == "<=":
                 worst = max(worst, resid[i] / scale[i])
             elif rel == ">=":
                 worst = max(worst, -resid[i] / scale[i])
             else:
                 worst = max(worst, abs(resid[i]) / scale[i])
-    worst = max(worst, float(np.max(comp.lower - x, initial=0.0)))
-    worst = max(worst, float(np.max(x - comp.upper, initial=0.0)))
-    if comp.int_cols.size:
-        xi = x[comp.int_cols]
+    worst = max(worst, float(np.max(model.lower - x, initial=0.0)))
+    worst = max(worst, float(np.max(x - model.upper, initial=0.0)))
+    if model.int_cols.size:
+        xi = x[model.int_cols]
         worst = max(worst, float(np.max(np.abs(xi - np.round(xi)), initial=0.0)))
     return worst
 
@@ -186,9 +220,8 @@ def solve(
     A rounding heuristic is probed at the root and every `HEURISTIC_EVERY`
     nodes so budgeted runs usually do carry an incumbent.
     """
-    comp = _compile(model)
     sign = -1.0 if model.sense == "maximize" else 1.0
-    c_int = sign * comp.c
+    c_int = sign * model.c
     deadline = None if time_budget is None else time.perf_counter() + time_budget
 
     best_x: np.ndarray | None = None
@@ -199,11 +232,11 @@ def solve(
 
     counter = itertools.count()
     # key: (bound, -depth, seq) -> best bound first, deeper node on ties
-    heap: list = [(-np.inf, 0, next(counter), comp.lower.copy(), comp.upper.copy())]
+    heap: list = [(-np.inf, 0, next(counter), model.lower.copy(), model.upper.copy())]
     best_open_bound = -np.inf
 
     def lp(lo, hi, cvec=c_int):
-        return simplex.solve_lp(cvec, comp.A, comp.relations, comp.b, lo, hi)
+        return simplex.solve_lp(cvec, model.A, model.relations, model.b, lo, hi)
 
     while heap:
         if nodes >= node_budget or (deadline is not None and time.perf_counter() > deadline):
@@ -225,8 +258,8 @@ def solve(
         if obj >= best_obj - ABS_GAP:
             continue
         x = res.x
-        if comp.int_cols.size:
-            xi = x[comp.int_cols]
+        if model.int_cols.size:
+            xi = x[model.int_cols]
             frac = np.abs(xi - np.round(xi))
             cand = np.flatnonzero(frac > INT_TOL)
         else:
@@ -240,10 +273,10 @@ def solve(
             lo_h = lo_nd.copy()
             hi_h = hi_nd.copy()
             rounded = np.clip(
-                np.round(x[comp.int_cols]), lo_nd[comp.int_cols], hi_nd[comp.int_cols]
+                np.round(x[model.int_cols]), lo_nd[model.int_cols], hi_nd[model.int_cols]
             )
-            lo_h[comp.int_cols] = rounded
-            hi_h[comp.int_cols] = rounded
+            lo_h[model.int_cols] = rounded
+            hi_h[model.int_cols] = rounded
             res_h = lp(lo_h, hi_h)
             if res_h.status == simplex.OPTIMAL and res_h.objective < best_obj:
                 best_obj = res_h.objective
@@ -251,7 +284,7 @@ def solve(
 
         # most fractional: distance to the nearest integer, maximized
         scores = np.minimum(frac[cand], 1.0 - frac[cand])
-        j = int(comp.int_cols[cand[int(np.argmax(scores))]])
+        j = int(model.int_cols[cand[int(np.argmax(scores))]])
         down_hi = hi_nd.copy()
         down_hi[j] = math.floor(x[j])
         up_lo = lo_nd.copy()
@@ -266,20 +299,20 @@ def solve(
     objective_value = None
     best_bound = None
     if best_x is not None:
-        violation = _check_assignment(comp, best_x)
+        violation = _check_assignment(model, best_x)
         if violation > FEAS_TOL:
             raise simplex.LpNumericalError(
                 f"incumbent violates feasibility tolerance: {violation:.3e}"
             )
-        assignment = {name: float(v) for name, v in zip(comp.names, best_x)}
-        objective_value = float(sign * best_obj) + comp.obj_const
+        assignment = {name: float(v) for name, v in zip(model.names, best_x)}
+        objective_value = float(sign * best_obj) + model.obj_const
     if heap or out_of_budget:
         open_bounds = [item[0] for item in heap]
         inner = min(open_bounds) if open_bounds else best_open_bound
         if best_x is not None:
             inner = min(inner, best_obj)
         if np.isfinite(inner):
-            best_bound = float(sign * inner) + comp.obj_const
+            best_bound = float(sign * inner) + model.obj_const
 
     if out_of_budget:
         return MilpSolution(BUDGET_EXCEEDED, assignment, objective_value, nodes, best_bound)
@@ -297,14 +330,13 @@ def brute_force_milp(model: MilpModel, max_combinations: int = 2**20) -> MilpSol
 
     Intended for models with at most ~20 binary variables.
     """
-    comp = _compile(model)
     sign = -1.0 if model.sense == "maximize" else 1.0
-    c_int = sign * comp.c
+    c_int = sign * model.c
 
     ranges = []
-    for j in comp.int_cols:
-        lo = math.ceil(comp.lower[j] - INT_TOL)
-        hi = math.floor(comp.upper[j] + INT_TOL)
+    for j in model.int_cols:
+        lo = math.ceil(model.lower[j] - INT_TOL)
+        hi = math.floor(model.upper[j] + INT_TOL)
         if lo > hi:
             return MilpSolution(INFEASIBLE, None, None, 0, None)
         ranges.append(range(lo, hi + 1))
@@ -320,19 +352,19 @@ def brute_force_milp(model: MilpModel, max_combinations: int = 2**20) -> MilpSol
     best_obj = np.inf
     nodes = 0
     for combo in itertools.product(*ranges):
-        lo = comp.lower.copy()
-        hi = comp.upper.copy()
-        for j, value in zip(comp.int_cols, combo):
+        lo = model.lower.copy()
+        hi = model.upper.copy()
+        for j, value in zip(model.int_cols, combo):
             lo[j] = hi[j] = float(value)
-        res = simplex.solve_lp(c_int, comp.A, comp.relations, comp.b, lo, hi)
+        res = simplex.solve_lp(c_int, model.A, model.relations, model.b, lo, hi)
         nodes += 1
         if res.status == simplex.OPTIMAL and res.objective < best_obj:
             best_obj = res.objective
             best_x = res.x
     if best_x is None:
         return MilpSolution(INFEASIBLE, None, None, nodes, None)
-    assignment = {name: float(v) for name, v in zip(comp.names, best_x)}
-    value = float(sign * best_obj) + comp.obj_const
+    assignment = {name: float(v) for name, v in zip(model.names, best_x)}
+    value = float(sign * best_obj) + model.obj_const
     return MilpSolution(OPTIMAL, assignment, value, nodes, value)
 
 
@@ -384,62 +416,23 @@ def propagate_bounds(net: MlpSurrogate, input_box) -> NeuronBounds:
     return NeuronBounds(pre_lower, pre_upper, out_lo, out_hi)
 
 
-def _neg_terms(expr: LinearExpr):
-    return tuple((-c, v) for c, v in expr.terms)
-
-
-def encode_relu(
-    pre: str | LinearExpr,
-    post: str,
-    lo: float,
-    hi: float,
-    indicator: str | None,
-) -> list[LinearConstraint]:
-    """Big-M rows for post = relu(pre) given pre in [lo, hi].
-
-    Stable neurons (hi <= 0 or lo >= 0) collapse to a single equality and
-    need no indicator.  Unstable neurons emit the four rows
-    post >= pre, post >= 0, post <= pre - lo*(1 - indicator), post <= hi*indicator.
-    """
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise EncodingError(f"non-finite pre-activation bounds for '{post}'")
-    if lo > hi:
-        raise EncodingError(f"inverted pre-activation bounds for '{post}'")
-    pre_expr = linear((1.0, pre)) if isinstance(pre, str) else pre
-    if hi <= 0.0:
-        return [LinearConstraint(linear((1.0, post)), "=", 0.0)]
-    if lo >= 0.0:
-        expr = LinearExpr(((1.0, post),) + _neg_terms(pre_expr))
-        return [LinearConstraint(expr, "=", pre_expr.constant)]
-    if indicator is None:
-        raise EncodingError(f"unstable neuron '{post}' needs an indicator")
-    rows = [
-        LinearConstraint(
-            LinearExpr(((1.0, post),) + _neg_terms(pre_expr)), ">=", pre_expr.constant
-        ),
-        LinearConstraint(linear((1.0, post)), ">=", 0.0),
-        LinearConstraint(
-            LinearExpr(((1.0, post),) + _neg_terms(pre_expr) + ((-lo, indicator),)),
-            "<=",
-            pre_expr.constant - lo,
-        ),
-        LinearConstraint(linear((1.0, post), (-hi, indicator)), "<=", 0.0),
-    ]
-    return rows
-
-
 def encode_network(
     net: MlpSurrogate,
     input_vars: list[VariableSpec],
     output_vars: list[VariableSpec],
     input_box=None,
 ) -> MilpModel:
-    """MILP fragment whose (x, y) projection is the graph of the network.
+    """MILP whose (x, y) projection is the graph of the network.
 
-    Variables: the named inputs/outputs, normalized mirrors (_xn*/_yn*),
-    hidden post-activations (_h*) and one binary per unstable neuron (_d*).
-    The returned model has no objective; callers conjoin their constraints
-    and set it.
+    Columns, in order: per input its named variable and normalized mirror
+    (_xn*); per hidden neuron its post-activation (_h*), followed by a binary
+    (_d*) if it is unstable; per output its normalized mirror (_yn*) and
+    named variable.  Rows follow the same order: the input scaling, then per
+    hidden neuron one equality if the bounds prove it stable, else the four
+    big-M rows
+    post >= pre, post >= 0, post <= pre - lo*(1 - d), post <= hi*d,
+    then per output the last layer's equality and the output scaling.  The
+    model has no objective; `conjoin` adds one with the caller's rows.
     """
     if len(input_vars) != net.n_inputs or len(output_vars) != net.n_outputs:
         raise EncodingError(
@@ -457,83 +450,107 @@ def encode_network(
         box_lo, box_hi = (np.asarray(s, dtype=float) for s in input_box)
     bounds = propagate_bounds(net, (box_lo, box_hi))
 
+    # `not <=` also rejects NaN bounds
     for arr in (*bounds.pre_lower, *bounds.pre_upper, bounds.out_lower, bounds.out_upper):
-        if np.any(np.abs(arr) > BOUND_LIMIT):
+        if not np.all(np.abs(arr) <= BOUND_LIMIT):
             raise EncodingError(
                 "propagated bounds exceed 1e9; normalization is degenerate"
             )
-
-    variables: list[MilpVariable] = []
-    constraints: list[LinearConstraint] = []
+    for p_lo, p_hi in zip(bounds.pre_lower, bounds.pre_upper):
+        if np.any(p_lo > p_hi):
+            raise EncodingError("inverted pre-activation bounds")
 
     xn_lo = (box_lo - net.input_shift) / net.input_scale
     xn_hi = (box_hi - net.input_shift) / net.input_scale
-    if np.any(np.abs(xn_lo) > BOUND_LIMIT) or np.any(np.abs(xn_hi) > BOUND_LIMIT):
+    if not (np.all(np.abs(xn_lo) <= BOUND_LIMIT) and np.all(np.abs(xn_hi) <= BOUND_LIMIT)):
         raise EncodingError(
             "normalized input bounds exceed 1e9; normalization is degenerate"
         )
 
-    prev_names: list[str] = []
+    names: list[str] = []
+    lower: list[float] = []
+    upper: list[float] = []
+    rows: list[tuple] = []  # (columns, coefficients, relation, rhs)
+    indicators: list[int] = []
+
+    def column(name: str, lo: float, hi: float) -> int:
+        names.append(name)
+        lower.append(lo)
+        upper.append(hi)
+        return len(names) - 1
+
+    # Coefficients -v are written as 0.0 - v, which turns a zero of either
+    # sign into +0.0, as adding terms into a zeroed row does.
+    prev: list[int] = []
     for i, v in enumerate(input_vars):
-        xn = f"_xn{i}"
-        variables.append(MilpVariable(v.name, "continuous", box_lo[i], box_hi[i]))
-        variables.append(MilpVariable(xn, "continuous", xn_lo[i], xn_hi[i]))
+        x = column(v.name, box_lo[i], box_hi[i])
+        xn = column(f"_xn{i}", xn_lo[i], xn_hi[i])
         # x = scale * xn + shift
-        constraints.append(
-            LinearConstraint(
-                linear((1.0, v.name), (-net.input_scale[i], xn)),
-                "=",
-                net.input_shift[i],
-            )
-        )
-        prev_names.append(xn)
+        rows.append(([x, xn], [1.0, 0.0 - net.input_scale[i]], "=", net.input_shift[i]))
+        prev.append(xn)
 
-    n_hidden_layers = len(net.weights) - 1
-    for layer in range(n_hidden_layers):
-        w, bias = net.weights[layer], net.biases[layer]
+    for layer, (w, bias) in enumerate(zip(net.weights[:-1], net.biases[:-1])):
         p_lo, p_hi = bounds.pre_lower[layer], bounds.pre_upper[layer]
-        next_names = []
+        # max(p, 0.0), keeping a -0.0 bound as it is
+        post_lo = np.where(0.0 > p_lo, 0.0, p_lo)
+        post_hi = np.where(0.0 > p_hi, 0.0, p_hi)
+        neg_w = 0.0 - w
+        current: list[int] = []
         for j in range(w.shape[0]):
-            post = f"_h{layer}_{j}"
-            post_lo = max(p_lo[j], 0.0)
-            post_hi = max(p_hi[j], 0.0)
-            variables.append(MilpVariable(post, "continuous", post_lo, post_hi))
-            pre_expr = LinearExpr(
-                tuple((w[j, i], prev_names[i]) for i in range(w.shape[1])),
-                bias[j],
-            )
-            indicator = None
-            if p_lo[j] < 0.0 < p_hi[j]:
-                indicator = f"_d{layer}_{j}"
-                variables.append(MilpVariable(indicator, "binary", 0.0, 1.0))
-            constraints.extend(
-                encode_relu(pre_expr, post, p_lo[j], p_hi[j], indicator)
-            )
-            next_names.append(post)
-        prev_names = next_names
+            lo, hi = p_lo[j], p_hi[j]
+            h = column(f"_h{layer}_{j}", post_lo[j], post_hi[j])
+            # post - pre, against the constant bias[j]
+            cols, coefs = [h, *prev], [1.0, *neg_w[j]]
+            if hi <= 0.0:
+                rows.append(([h], [1.0], "=", 0.0))
+                indicators.append(-1)
+            elif lo >= 0.0:
+                rows.append((cols, coefs, "=", bias[j]))
+                indicators.append(-1)
+            else:
+                d = column(f"_d{layer}_{j}", 0.0, 1.0)
+                rows += [
+                    (cols, coefs, ">=", bias[j]),
+                    ([h], [1.0], ">=", 0.0),
+                    (cols + [d], coefs + [-lo], "<=", bias[j] - lo),
+                    ([h, d], [1.0, -hi], "<=", 0.0),
+                ]
+                indicators.append(d)
+            current.append(h)
+        prev = current
 
-    w, bias = net.weights[-1], net.biases[-1]
+    neg_w, bias = 0.0 - net.weights[-1], net.biases[-1]
     yn_lo = (bounds.out_lower - net.output_shift) / net.output_scale
     yn_hi = (bounds.out_upper - net.output_shift) / net.output_scale
+    # the declared output range intersected with the propagated one
+    decl_lo = np.array([v.lower for v in output_vars], dtype=float)
+    decl_hi = np.array([v.upper for v in output_vars], dtype=float)
+    y_lo = np.where(bounds.out_lower > decl_lo, bounds.out_lower, decl_lo)
+    y_hi = np.where(bounds.out_upper < decl_hi, bounds.out_upper, decl_hi)
     for k, v in enumerate(output_vars):
-        yn = f"_yn{k}"
-        variables.append(MilpVariable(yn, "continuous", yn_lo[k], yn_hi[k]))
-        terms = ((1.0, yn),) + tuple(
-            (-w[k, i], prev_names[i]) for i in range(w.shape[1])
-        )
-        constraints.append(LinearConstraint(LinearExpr(terms), "=", bias[k]))
-        y_lo = max(v.lower, bounds.out_lower[k])
-        y_hi = min(v.upper, bounds.out_upper[k])
-        variables.append(MilpVariable(v.name, "continuous", y_lo, y_hi))
+        yn = column(f"_yn{k}", yn_lo[k], yn_hi[k])
+        rows.append(([yn, *prev], [1.0, *neg_w[k]], "=", bias[k]))
+        y = column(v.name, y_lo[k], y_hi[k])
         # y = out_scale * yn + out_shift
-        constraints.append(
-            LinearConstraint(
-                linear((1.0, v.name), (-net.output_scale[k], yn)),
-                "=",
-                net.output_shift[k],
-            )
-        )
-    return MilpModel(variables, constraints)
+        rows.append(([y, yn], [1.0, 0.0 - net.output_scale[k]], "=", net.output_shift[k]))
+
+    A = np.zeros((len(rows), len(names)))
+    b = np.empty(len(rows))
+    for i, (cols, coefs, _, rhs) in enumerate(rows):
+        A[i, cols] = coefs
+        b[i] = rhs
+    indicator_cols = np.array(indicators, dtype=np.intp)
+    return MilpModel(
+        names=names,
+        lower=np.array(lower, dtype=float),
+        upper=np.array(upper, dtype=float),
+        int_cols=indicator_cols[indicator_cols >= 0],
+        A=A,
+        relations=[row[2] for row in rows],
+        b=b,
+        c=np.zeros(len(names)),
+        indicators=indicator_cols,
+    )
 
 
 def assemble_problem_milp(
@@ -541,90 +558,32 @@ def assemble_problem_milp(
 ) -> MilpModel:
     """Surrogate graph /\\ problem constraints, with the problem objective."""
     model = encode_network(net, problem.inputs, problem.outputs, input_box)
-    model.constraints.extend(problem.constraints)
-    model.objective = problem.objective
-    model.sense = problem.sense
-    return model
+    return conjoin(model, problem.constraints, problem.objective, problem.sense)
 
 
-def activation_pattern(net: MlpSurrogate, x) -> dict[str, float]:
-    """Indicator values a concrete input realizes, keyed by encoder names.
-
-    Returns {0.0, 1.0} per hidden neuron under the `_d{layer}_{j}` naming of
-    `encode_network`.  Neurons the encoder proved stable carry no binary in
-    the model; `restrict_binaries` skips those names, so the full dict can be
-    passed straight through.
-    """
+def activation_pattern(net: MlpSurrogate, x) -> np.ndarray:
+    """1.0 for each hidden neuron active at input x, else 0.0, in layer order."""
     a = normalize_inputs(net, np.asarray(x, dtype=float))
-    pattern: dict[str, float] = {}
-    for layer in range(len(net.weights) - 1):
-        pre = a @ net.weights[layer].T + net.biases[layer]
-        for j, value in enumerate(pre):
-            pattern[f"_d{layer}_{j}"] = 1.0 if value > 0.0 else 0.0
+    pattern: list = []
+    for w, bias in zip(net.weights[:-1], net.biases[:-1]):
+        pre = a @ w.T + bias
+        pattern.extend(pre > 0.0)
         a = np.maximum(pre, 0.0)
-    return pattern
+    return np.array(pattern, dtype=float)
 
 
-def restrict_binaries(model: MilpModel, pattern: dict[str, float]) -> MilpModel:
-    """Copy of `model` with the named binaries pinned to rounded values.
+def restrict_binaries(model: MilpModel, pattern: np.ndarray) -> MilpModel:
+    """`model` with each unstable neuron's indicator pinned to `pattern`.
 
-    Names absent from the model are ignored.  Pinning every binary reduces
-    `solve` to a single LP over the region the pattern selects, which is how
-    the loop probes activation regions of known samples through the public
-    solver interface.
+    `pattern` holds `activation_pattern`'s value per hidden neuron.  The
+    result shares its rows and objective with `model` and differs only in
+    `lower` and `upper`.  With every indicator pinned, `solve` reduces to a
+    single LP over the activation region the pattern selects.
     """
-    variables: list[MilpVariable] = []
-    for v in model.variables:
-        value = pattern.get(v.name)
-        if value is None:
-            variables.append(v)
-            continue
-        if v.kind != "binary":
-            raise MilpModelError(f"cannot pin non-binary variable '{v.name}'")
-        pinned = 1.0 if value >= 0.5 else 0.0
-        variables.append(MilpVariable(v.name, "binary", pinned, pinned))
-    return MilpModel(
-        variables, list(model.constraints), model.objective, model.sense
-    )
-
-
-def dump_lp(model: MilpModel, name: str = "model") -> str:
-    """LP-format-style text rendering with full-precision coefficients."""
-    lines = [f"\\ {name}"]
-    lines.append("Maximize" if model.sense == "maximize" else "Minimize")
-    lines.append(" obj: " + _fmt_expr(model.objective))
-    if model.objective.constant:
-        lines.append(f"\\ objective constant: {model.objective.constant!r}")
-    lines.append("Subject To")
-    for i, c in enumerate(model.constraints):
-        rel = c.relation if c.relation != "=" else "="
-        rhs = c.rhs - c.expr.constant
-        body = _fmt_expr(LinearExpr(c.expr.terms))
-        lines.append(f" c{i}: {body} {rel} {rhs!r}")
-    lines.append("Bounds")
-    for v in model.variables:
-        lines.append(f" {v.lower!r} <= {v.name} <= {v.upper!r}")
-    binaries = [v.name for v in model.variables if v.kind == "binary"]
-    if binaries:
-        lines.append("Binaries")
-        lines.append(" " + " ".join(binaries))
-    generals = [v.name for v in model.variables if v.kind == "integer"]
-    if generals:
-        lines.append("Generals")
-        lines.append(" " + " ".join(generals))
-    lines.append("End")
-    return "\n".join(lines) + "\n"
-
-
-def _fmt_expr(expr: LinearExpr) -> str:
-    if not expr.terms:
-        return "0"
-    parts = []
-    for i, (coef, var) in enumerate(expr.terms):
-        if i == 0:
-            parts.append(f"{coef!r} {var}")
-        elif coef < 0:
-            parts.append(f"- {-coef!r} {var}")
-        else:
-            parts.append(f"+ {coef!r} {var}")
-    return " ".join(parts)
+    unstable = model.indicators >= 0
+    cols = model.indicators[unstable]
+    values = np.asarray(pattern, dtype=float)[unstable]
+    lower, upper = model.lower.copy(), model.upper.copy()
+    lower[cols] = values
+    upper[cols] = values
+    return dataclasses.replace(model, lower=lower, upper=upper)

@@ -3,6 +3,8 @@
 Both the module tests and the acceptance suite draw from these so the
 acceptance criteria run the exact same machinery at full size.
 """
+import dataclasses
+
 import numpy as np
 
 from cnma import milp
@@ -44,21 +46,16 @@ def encoding_deviation(net: MlpSurrogate, x: np.ndarray) -> float:
     """
     inputs, outputs = net_box(net)
     model = milp.encode_network(net, inputs, outputs)
-    pinned = []
-    for v in model.variables:
-        if v.name.startswith("x") and not v.name.startswith("_"):
-            i = int(v.name[1:])
-            pinned.append(milp.MilpVariable(v.name, v.kind, float(x[i]), float(x[i])))
-        else:
-            pinned.append(v)
-    model = milp.MilpModel(pinned, model.constraints)
+    lower, upper = model.lower.copy(), model.upper.copy()
+    for i, v in enumerate(inputs):
+        j = model.names.index(v.name)
+        lower[j] = upper[j] = float(x[i])
+    pinned = dataclasses.replace(model, lower=lower, upper=upper)
     want = forward(net, x)
     worst = 0.0
     for k in range(net.n_outputs):
         for sense in ("minimize", "maximize"):
-            model.objective = linear((1.0, f"y{k}"))
-            model.sense = sense
-            sol = milp.solve(model)
+            sol = milp.solve(milp.conjoin(pinned, (), linear((1.0, f"y{k}")), sense))
             assert sol.status == milp.OPTIMAL, f"{sense} y{k}: {sol.status}"
             worst = max(worst, abs(sol.assignment[f"y{k}"] - float(want[k])))
     return worst
@@ -68,14 +65,10 @@ def random_milp(rng: np.random.Generator, max_binaries=10) -> milp.MilpModel:
     """Random boxed MILP with integer data; may be feasible or not."""
     n_bin = int(rng.integers(0, max_binaries + 1))
     n_cont = int(rng.integers(1, 5))
-    variables = [
-        milp.MilpVariable(f"b{i}", "binary", 0.0, 1.0) for i in range(n_bin)
-    ]
+    variables = [VariableSpec(f"b{i}", 0.0, 1.0, "binary") for i in range(n_bin)]
     for i in range(n_cont):
         lo = float(rng.integers(-4, 1))
-        variables.append(
-            milp.MilpVariable(f"c{i}", "continuous", lo, lo + float(rng.integers(1, 6)))
-        )
+        variables.append(VariableSpec(f"c{i}", lo, lo + float(rng.integers(1, 6))))
     names = [v.name for v in variables]
     m = int(rng.integers(1, 6))
     constraints = []
@@ -96,7 +89,7 @@ def random_milp(rng: np.random.Generator, max_binaries=10) -> milp.MilpModel:
         float(rng.integers(-3, 4)),
     )
     sense = "maximize" if rng.random() < 0.5 else "minimize"
-    return milp.MilpModel(variables, constraints, objective, sense)
+    return milp.milp_model(variables, constraints, objective, sense)
 
 
 def assert_solver_matches_oracle(model: milp.MilpModel, tol=1e-6):

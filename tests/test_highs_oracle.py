@@ -50,24 +50,25 @@ def highs_lp(c, A, relations, b, lower, upper, maximize):
 
 
 def highs_milp(model: milp.MilpModel):
-    comp = milp._compile(model)
     sign = -1.0 if model.sense == "maximize" else 1.0
-    integrality = np.zeros(len(comp.names))
-    integrality[comp.int_cols] = 1
+    integrality = np.zeros(len(model.names))
+    integrality[model.int_cols] = 1
     constraints = ()
-    if comp.relations:
-        constraints = optimize.LinearConstraint(comp.A, *row_bounds(comp.relations, comp.b))
+    if model.relations:
+        constraints = optimize.LinearConstraint(
+            model.A, *row_bounds(model.relations, model.b)
+        )
     res = optimize.milp(
-        sign * comp.c,
+        sign * model.c,
         integrality=integrality,
-        bounds=optimize.Bounds(comp.lower, comp.upper),
+        bounds=optimize.Bounds(model.lower, model.upper),
         constraints=constraints,
         options={"mip_rel_gap": 0.0},
     )
     assert res.status in (HIGHS_OPTIMAL, HIGHS_INFEASIBLE), res.message
     if res.status == HIGHS_INFEASIBLE:
         return milp.INFEASIBLE, None
-    return milp.OPTIMAL, sign * res.fun + comp.obj_const
+    return milp.OPTIMAL, sign * res.fun + model.obj_const
 
 
 def test_solve_lp_agrees_with_highs():
@@ -108,13 +109,13 @@ def test_solve_agrees_with_highs_on_encoded_surrogates():
     for _ in range(40):
         net = random_net(rng)
         inputs, outputs = net_box(net)
-        model = milp.encode_network(net, inputs, outputs)
         names = [v.name for v in inputs + outputs]
-        model.objective = linear(*((float(rng.normal()), name) for name in names))
-        model.sense = "maximize" if rng.random() < 0.5 else "minimize"
+        objective = linear(*((float(rng.normal()), name) for name in names))
+        sense = "maximize" if rng.random() < 0.5 else "minimize"
         # a random floor on the first output, so that some models are infeasible
-        model.constraints.append(
-            LinearConstraint(linear((1.0, "y0")), ">=", float(rng.normal(0.0, 3.0)))
+        floor = LinearConstraint(linear((1.0, "y0")), ">=", float(rng.normal(0.0, 3.0)))
+        model = milp.conjoin(
+            milp.encode_network(net, inputs, outputs), [floor], objective, sense
         )
         got = milp.solve(model)
         status, value = highs_milp(model)

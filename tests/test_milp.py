@@ -1,28 +1,27 @@
-import math
+import dataclasses
 
 import numpy as np
 import pytest
 
 from cnma import milp
+from cnma.benchmarks import builtin_problem_path
 from cnma.milp import (
     BUDGET_EXCEEDED,
     INFEASIBLE,
     OPTIMAL,
     EncodingError,
-    MilpModel,
     MilpModelError,
-    MilpVariable,
     activation_pattern,
     brute_force_milp,
-    dump_lp,
+    conjoin,
     encode_network,
-    encode_relu,
+    milp_model,
     propagate_bounds,
     restrict_binaries,
     solve,
 )
 from cnma.mlp import MlpSurrogate, forward, init_network
-from cnma.problem import LinearConstraint, VariableSpec, linear
+from cnma.problem import LinearConstraint, VariableSpec, linear, load_problem
 
 from generators import (
     assert_solver_matches_oracle,
@@ -77,74 +76,83 @@ class TestPropagateBounds:
             propagate_bounds(relu_net(), ([1.0], [0.0]))
 
 
-def relu_gadget_model(lo, hi, fix_indicator=None):
-    """pre in [lo, hi], post free, binary d, rows from encode_relu."""
-    pin = (fix_indicator, fix_indicator) if fix_indicator is not None else (0.0, 1.0)
-    variables = [
-        MilpVariable("pre", "continuous", lo, hi),
-        MilpVariable("post", "continuous", 0.0, max(hi, 0.0)),
-        MilpVariable("d", "binary", *pin),
-    ]
-    rows = encode_relu("pre", "post", lo, hi, "d")
-    return MilpModel(variables, rows)
+def relu_model(lo, hi):
+    """max(0, x) for x in [lo, hi], encoded from `relu_net`.
+
+    Columns x, _xn0, _h0_0, then _d0_0 if the neuron is unstable, _yn0, y;
+    the neuron's rows start at row 1, after the input scaling.
+    """
+    return encode_network(
+        relu_net(), [VariableSpec("x", lo, hi)], [VariableSpec("y", -10.0, 10.0)]
+    )
 
 
-def extremize(model, var, sense):
-    model.objective = linear((1.0, var))
-    model.sense = sense
-    sol = solve(model)
+def extremize(model, expr, sense):
+    sol = solve(conjoin(model, (), expr, sense))
     assert sol.status == OPTIMAL
     return sol.objective_value
 
 
+PRE = linear((1.0, "_xn0"))
+POST = linear((1.0, "_h0_0"))
+POST_MINUS_PRE = linear((1.0, "_h0_0"), (-1.0, "_xn0"))
+
+
 class TestEncodeRelu:
     def test_indicator_one_forces_identity_branch(self):
-        model = relu_gadget_model(-3.0, 4.0, fix_indicator=1.0)
-        assert extremize(model, "pre", "minimize") == pytest.approx(0.0, abs=1e-9)
-        assert extremize(model, "pre", "maximize") == pytest.approx(4.0, abs=1e-9)
+        model = restrict_binaries(relu_model(-3.0, 4.0), np.array([1.0]))
+        assert extremize(model, PRE, "minimize") == pytest.approx(0.0, abs=1e-9)
+        assert extremize(model, PRE, "maximize") == pytest.approx(4.0, abs=1e-9)
         # post - pre is pinned to zero on this branch
-        model.objective = linear((1.0, "post"), (-1.0, "pre"))
         for sense in ("minimize", "maximize"):
-            model.sense = sense
-            assert solve(model).objective_value == pytest.approx(0.0, abs=1e-9)
+            assert extremize(model, POST_MINUS_PRE, sense) == pytest.approx(0.0, abs=1e-9)
 
     def test_indicator_zero_forces_dead_branch(self):
-        model = relu_gadget_model(-3.0, 4.0, fix_indicator=0.0)
-        assert extremize(model, "pre", "minimize") == pytest.approx(-3.0, abs=1e-9)
-        assert extremize(model, "pre", "maximize") == pytest.approx(0.0, abs=1e-9)
-        assert extremize(model, "post", "maximize") == pytest.approx(0.0, abs=1e-9)
+        model = restrict_binaries(relu_model(-3.0, 4.0), np.array([0.0]))
+        assert extremize(model, PRE, "minimize") == pytest.approx(-3.0, abs=1e-9)
+        assert extremize(model, PRE, "maximize") == pytest.approx(0.0, abs=1e-9)
+        assert extremize(model, POST, "maximize") == pytest.approx(0.0, abs=1e-9)
 
     def test_always_active_collapses_to_equality(self):
-        rows = encode_relu("pre", "post", 1.0, 2.0, None)
-        assert len(rows) == 1
-        assert rows[0].relation == "="
-        assert sorted(rows[0].expr.terms) == [(-1.0, "pre"), (1.0, "post")]
+        model = relu_model(1.0, 2.0)
+        assert model.indicators.tolist() == [-1]
+        assert model.int_cols.size == 0
+        assert model.relations == ["="] * 4
+        assert dict(zip(model.names, model.A[1])) == {
+            "x": 0.0, "_xn0": -1.0, "_h0_0": 1.0, "_yn0": 0.0, "y": 0.0
+        }
+        assert model.b[1] == 0.0
+        for sense in ("minimize", "maximize"):
+            assert extremize(model, POST_MINUS_PRE, sense) == pytest.approx(0.0, abs=1e-9)
 
     def test_always_inactive_pins_post_to_zero(self):
-        rows = encode_relu("pre", "post", -2.0, -1.0, None)
-        assert len(rows) == 1
-        assert rows[0].expr.terms == ((1.0, "post"),)
-        assert rows[0].rhs == 0.0
-
-    def test_unstable_needs_indicator(self):
-        with pytest.raises(EncodingError):
-            encode_relu("pre", "post", -1.0, 1.0, None)
+        model = relu_model(-2.0, -1.0)
+        assert model.indicators.tolist() == [-1]
+        assert model.int_cols.size == 0
+        assert model.relations == ["="] * 4
+        assert dict(zip(model.names, model.A[1])) == {
+            "x": 0.0, "_xn0": 0.0, "_h0_0": 1.0, "_yn0": 0.0, "y": 0.0
+        }
+        assert model.b[1] == 0.0
+        assert extremize(model, POST, "maximize") == pytest.approx(0.0, abs=1e-9)
 
     def test_infinite_bounds_rejected(self):
-        with pytest.raises(EncodingError):
-            encode_relu("pre", "post", -math.inf, 1.0, "d")
-        with pytest.raises(EncodingError):
-            encode_relu("pre", "post", -1.0, math.inf, "d")
+        # pre-activation bounds beyond 1e9, infinite, or NaN
+        for weight in (2e9, np.inf, np.nan):
+            net = relu_net()
+            net.weights[0] = np.array([[weight]])
+            with pytest.raises(EncodingError, match="1e9"), np.errstate(invalid="ignore"):
+                encode_network(
+                    net, [VariableSpec("x", -1.0, 1.0)], [VariableSpec("y", -1.0, 1.0)]
+                )
 
 
 def fix_inputs(model, values):
-    pinned = []
-    for v in model.variables:
-        if v.name in values:
-            pinned.append(MilpVariable(v.name, v.kind, values[v.name], values[v.name]))
-        else:
-            pinned.append(v)
-    return MilpModel(pinned, model.constraints, model.objective, model.sense)
+    lower, upper = model.lower.copy(), model.upper.copy()
+    for name, value in values.items():
+        j = model.names.index(name)
+        lower[j] = upper[j] = value
+    return dataclasses.replace(model, lower=lower, upper=upper)
 
 
 class TestEncodeNetwork:
@@ -155,8 +163,7 @@ class TestEncodeNetwork:
             [VariableSpec("y", -10.0, 10.0)],
         )
         fixed = fix_inputs(model, {"x": 2.0})
-        fixed.objective = linear((1.0, "y"))
-        sol = solve(fixed)
+        sol = solve(conjoin(fixed, (), linear((1.0, "y"))))
         assert sol.status == OPTIMAL
         assert sol.assignment["y"] == pytest.approx(2.0, abs=1e-6)
 
@@ -167,10 +174,8 @@ class TestEncodeNetwork:
             [VariableSpec("y", -10.0, 10.0)],
         )
         fixed = fix_inputs(model, {"x": -1.0})
-        fixed.objective = linear((1.0, "y"))
         for sense in ("minimize", "maximize"):
-            fixed.sense = sense
-            sol = solve(fixed)
+            sol = solve(conjoin(fixed, (), linear((1.0, "y")), sense))
             assert sol.assignment["y"] == pytest.approx(0.0, abs=1e-6)
 
     def test_random_nets_match_forward(self):
@@ -185,10 +190,10 @@ class TestEncodeNetwork:
         model = encode_network(
             net, [VariableSpec("x", -5.0, 5.0)], [VariableSpec("y", -1.0, 2.5)]
         )
-        y_var = next(v for v in model.variables if v.name == "y")
+        y = model.names.index("y")
         # propagated range is [0, 5]; declared is [-1, 2.5]; intersection wins
-        assert y_var.lower == pytest.approx(0.0)
-        assert y_var.upper == pytest.approx(2.5)
+        assert model.lower[y] == pytest.approx(0.0)
+        assert model.upper[y] == pytest.approx(2.5)
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(EncodingError, match="arity"):
@@ -218,14 +223,14 @@ class TestEncodeNetwork:
         model = encode_network(
             net, [VariableSpec("x", -5.0, 5.0)], [VariableSpec("y", -100.0, 100.0)]
         )
-        binaries = [v.name for v in model.variables if v.kind == "binary"]
-        assert binaries == ["_d0_0"]
+        assert [model.names[j] for j in model.int_cols] == ["_d0_0"]
+        assert model.indicators.tolist() == [model.names.index("_d0_0"), -1]
 
 
 class TestSolve:
     def test_pure_lp(self):
-        model = MilpModel(
-            [MilpVariable("x", "continuous", 0.0, 10.0)],
+        model = milp_model(
+            [VariableSpec("x", 0.0, 10.0)],
             [LinearConstraint(linear((1.0, "x")), "<=", 3.0)],
             linear((1.0, "x")),
             "maximize",
@@ -235,10 +240,10 @@ class TestSolve:
         assert sol.assignment["x"] == pytest.approx(3.0)
 
     def test_binary_knapsack(self):
-        model = MilpModel(
+        model = milp_model(
             [
-                MilpVariable("a", "binary", 0.0, 1.0),
-                MilpVariable("b", "binary", 0.0, 1.0),
+                VariableSpec("a", 0.0, 1.0, "binary"),
+                VariableSpec("b", 0.0, 1.0, "binary"),
             ],
             [LinearConstraint(linear((1.0, "a"), (1.0, "b")), "<=", 1.0)],
             linear((3.0, "a"), (2.0, "b")),
@@ -250,8 +255,8 @@ class TestSolve:
         assert sol.assignment["a"] == pytest.approx(1.0, abs=1e-6)
 
     def test_contradiction_is_infeasible(self):
-        model = MilpModel(
-            [MilpVariable("x", "continuous", 0.0, 10.0)],
+        model = milp_model(
+            [VariableSpec("x", 0.0, 10.0)],
             [
                 LinearConstraint(linear((1.0, "x")), ">=", 5.0),
                 LinearConstraint(linear((1.0, "x")), "<=", 1.0),
@@ -260,8 +265,8 @@ class TestSolve:
         assert solve(model).status == INFEASIBLE
 
     def test_integer_kind_branches_on_bounds(self):
-        model = MilpModel(
-            [MilpVariable("k", "integer", 0.0, 7.0)],
+        model = milp_model(
+            [VariableSpec("k", 0.0, 7.0, "integer")],
             [LinearConstraint(linear((2.0, "k")), "<=", 9.0)],
             linear((1.0, "k")),
             "maximize",
@@ -271,8 +276,8 @@ class TestSolve:
         assert sol.assignment["k"] == pytest.approx(4.0, abs=1e-6)
 
     def test_time_budget_zero_exceeds_immediately(self):
-        model = MilpModel(
-            [MilpVariable("a", "binary", 0.0, 1.0)],
+        model = milp_model(
+            [VariableSpec("a", 0.0, 1.0, "binary")],
             [],
             linear((1.0, "a")),
             "maximize",
@@ -293,23 +298,48 @@ class TestSolve:
                 # incumbent must be genuinely feasible and integral
                 full = brute_force_milp(model)
                 assert full.status == OPTIMAL
-                for v in model.variables:
-                    if v.kind == "binary":
-                        val = sol.assignment[v.name]
-                        assert abs(val - round(val)) <= 1e-6
+                for j in model.int_cols:
+                    val = sol.assignment[model.names[j]]
+                    assert abs(val - round(val)) <= 1e-6
 
     def test_invalid_model_rejected(self):
-        model = MilpModel(
-            [MilpVariable("x", "continuous", 0.0, 1.0)],
-            [LinearConstraint(linear((1.0, "ghost")), "<=", 1.0)],
-        )
         with pytest.raises(MilpModelError, match="ghost"):
-            solve(model)
+            milp_model(
+                [VariableSpec("x", 0.0, 1.0)],
+                [LinearConstraint(linear((1.0, "ghost")), "<=", 1.0)],
+            )
 
     def test_binary_bounds_outside_unit_rejected(self):
-        model = MilpModel([MilpVariable("d", "binary", 0.0, 2.0)], [])
         with pytest.raises(MilpModelError, match="binary"):
-            solve(model)
+            milp_model([VariableSpec("d", 0.0, 2.0, "binary")], [])
+
+    @pytest.mark.parametrize(
+        "variables, constraints, objective, sense, message",
+        [
+            ([VariableSpec("x", 0, 1), VariableSpec("x", 0, 1)], [], linear(), "minimize",
+             "duplicate variable 'x'"),
+            ([VariableSpec("x", 0, 1, "real")], [], linear(), "minimize", "unknown kind"),
+            ([VariableSpec("x", 0, float("inf"))], [], linear(), "minimize", "non-finite bounds"),
+            ([VariableSpec("x", 0, 1)], [LinearConstraint(linear((1.0, "x")), "<", 1.0)],
+             linear(), "minimize", "unknown relation"),
+            ([VariableSpec("x", 0, 1)], [LinearConstraint(linear((1.0, "x")), "<=", float("nan"))],
+             linear(), "minimize", "non-finite rhs"),
+            ([VariableSpec("x", 0, 1)], [], linear((1.0, "z")), "minimize",
+             "objective references unknown variable 'z'"),
+            ([VariableSpec("x", 0, 1)], [], linear(), "upward", "unknown sense"),
+        ],
+    )
+    def test_each_validation_check(self, variables, constraints, objective, sense, message):
+        with pytest.raises(MilpModelError, match=message):
+            milp_model(variables, constraints, objective, sense)
+
+    def test_conjoin_validates_rows_over_an_encoded_model(self):
+        inputs, outputs = net_box(relu_net())
+        model = encode_network(relu_net(), inputs, outputs)
+        # constraints are numbered after the encoder's rows
+        label = f"constraint {len(model.relations)}"
+        with pytest.raises(MilpModelError, match=f"{label} references unknown variable 'x9'"):
+            conjoin(model, [LinearConstraint(linear((1.0, "x9")), "<=", 1.0)])
 
 
 class TestBruteForceOracle:
@@ -319,8 +349,8 @@ class TestBruteForceOracle:
             assert_solver_matches_oracle(random_milp(rng))
 
     def test_no_binaries_reduces_to_lp(self):
-        model = MilpModel(
-            [MilpVariable("x", "continuous", -1.0, 4.0)],
+        model = milp_model(
+            [VariableSpec("x", -1.0, 4.0)],
             [LinearConstraint(linear((1.0, "x")), "<=", 2.0)],
             linear((1.0, "x")),
             "maximize",
@@ -331,18 +361,18 @@ class TestBruteForceOracle:
         assert sol.nodes == 1
 
     def test_all_enumerations_infeasible(self):
-        model = MilpModel(
-            [MilpVariable("a", "binary", 0.0, 1.0)],
+        model = milp_model(
+            [VariableSpec("a", 0.0, 1.0, "binary")],
             [LinearConstraint(linear((1.0, "a")), ">=", 2.0)],
         )
         assert brute_force_milp(model).status == INFEASIBLE
 
     def test_too_many_combinations_refused(self):
         variables = [
-            MilpVariable(f"b{i}", "binary", 0.0, 1.0) for i in range(21)
+            VariableSpec(f"b{i}", 0.0, 1.0, "binary") for i in range(21)
         ]
         with pytest.raises(MilpModelError, match="refused"):
-            brute_force_milp(MilpModel(variables, []))
+            brute_force_milp(milp_model(variables, []))
 
 
 class TestPatternProbes:
@@ -350,10 +380,8 @@ class TestPatternProbes:
         rng = np.random.default_rng(5)
         net = random_net(rng, n_in=2, n_out=1)
         pattern = activation_pattern(net, np.array([0.3, -0.8]))
-        assert all(k.startswith("_d") for k in pattern)
-        assert set(pattern.values()) <= {0.0, 1.0}
-        n_hidden = sum(net.layer_sizes[1:-1])
-        assert len(pattern) == n_hidden
+        assert set(pattern.tolist()) <= {0.0, 1.0}
+        assert pattern.shape == (sum(net.layer_sizes[1:-1]),)
 
     def test_restricted_model_still_contains_the_sample(self):
         rng = np.random.default_rng(6)
@@ -366,8 +394,7 @@ class TestPatternProbes:
             fixed = fix_inputs(
                 restricted, {f"x{i}": float(x[i]) for i in range(net.n_inputs)}
             )
-            fixed.objective = linear((1.0, "y0"))
-            sol = solve(fixed)
+            sol = solve(conjoin(fixed, (), linear((1.0, "y0"))))
             assert sol.status == OPTIMAL
             assert sol.assignment["y0"] == pytest.approx(
                 float(forward(net, x)[0]), abs=1e-6
@@ -381,36 +408,33 @@ class TestPatternProbes:
         restricted = restrict_binaries(
             model, activation_pattern(net, np.zeros(net.n_inputs))
         )
-        for v in restricted.variables:
-            if v.kind == "binary":
-                assert v.lower == v.upper
+        cols = restricted.int_cols
+        assert np.array_equal(restricted.lower[cols], restricted.upper[cols])
 
-    def test_refuses_to_pin_continuous_variable(self):
-        model = MilpModel([MilpVariable("x", "continuous", 0.0, 1.0)], [])
-        with pytest.raises(MilpModelError, match="non-binary"):
-            restrict_binaries(model, {"x": 1.0})
-
-    def test_unknown_names_ignored(self):
-        model = MilpModel([MilpVariable("d", "binary", 0.0, 1.0)], [])
-        restricted = restrict_binaries(model, {"_d9_9": 1.0})
-        assert restricted.variables[0].lower == 0.0
-        assert restricted.variables[0].upper == 1.0
-
-
-class TestDump:
-    def test_structure_and_round_trip_coefficients(self):
-        model = MilpModel(
-            [
-                MilpVariable("x", "continuous", -1.5, 2.5),
-                MilpVariable("d", "binary", 0.0, 1.0),
-            ],
-            [LinearConstraint(linear((0.1, "x"), (-3.0, "d")), "<=", 1.25)],
-            linear((1.0, "x")),
-            "minimize",
-        )
-        text = dump_lp(model, name="gadget")
-        for token in ("Minimize", "Subject To", "Bounds", "Binaries", "End"):
-            assert token in text
-        assert "gadget" in text
-        assert repr(0.1) in text  # full-precision coefficients
-        assert "d" in text.split("Binaries")[1]
+    def test_probe_changes_only_indicator_bounds(self):
+        """On a 12 -> 35 -> 10 net over the polak3 constraints, a probe shares
+        the rows and objective of the full model, pins exactly the unstable
+        neurons' indicators, and leaves the full model's bounds untouched."""
+        problem = load_problem(builtin_problem_path("polak3"))
+        net = init_network((12, 35, 10), seed=3)
+        net.input_scale = np.full(12, 0.6)
+        net.output_shift = np.full(10, 20.0)
+        net.output_scale = np.full(10, 40.0)
+        model = milp.assemble_problem_milp(problem, net)
+        lower, upper = model.lower.copy(), model.upper.copy()
+        unstable = model.indicators >= 0
+        cols = model.indicators[unstable]
+        assert np.array_equal(np.sort(cols), model.int_cols) and cols.size >= 20
+        others = np.setdiff1d(np.arange(len(model.names)), cols)
+        for x in np.random.default_rng(5).uniform(-1.0, 1.0, size=(4, 12)):
+            pattern = activation_pattern(net, x)
+            probe = restrict_binaries(model, pattern)
+            assert probe is not model
+            assert probe.A is model.A and probe.b is model.b and probe.c is model.c
+            assert probe.relations is model.relations
+            assert np.array_equal(probe.lower[cols], pattern[unstable])
+            assert np.array_equal(probe.upper[cols], pattern[unstable])
+            assert probe.lower[others].tobytes() == lower[others].tobytes()
+            assert probe.upper[others].tobytes() == upper[others].tobytes()
+            assert model.lower.tobytes() == lower.tobytes()
+            assert model.upper.tobytes() == upper.tobytes()
