@@ -114,9 +114,12 @@ class _Run(Session):
         return rec, sample
 
     def random_fill(self, count: int, event: str = "random_fill") -> None:
-        """Add `count` random samples as `event` rows; retries are random_fill rows."""
+        """Add `count` random samples as `event` rows; retries are random_fill rows.
+
+        Stops early once a sample reaches the objective target.
+        """
         added, retry = 0, False
-        while added < count:
+        while added < count and not self.target_hit:
             _, sample = self.sample(self.draw(), "random_fill" if retry else event)
             retry = sample is None
             added += not retry

@@ -167,6 +167,14 @@ class TestStopping:
         )
         assert res.stop_reason == "objective_target"
         assert res.best_phi <= 500.0
+        # f <= 3609 on the box: the first initial draw reaches 1e6, and the
+        # run stops before the second
+        res = cnma_run(
+            problem, fast_config(max_iterations=20, objective_target=1e6)
+        )
+        assert res.stop_reason == "objective_target"
+        assert res.counter.total_calls == 1
+        assert res.iterations == []
 
     def test_max_iterations_zero_only_samples(self):
         problem = rosenbrock_problem()
