@@ -16,11 +16,10 @@ for it.
 """
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from heapq import heappush, heappop
 from typing import Sequence
 
@@ -176,7 +175,7 @@ def conjoin(
         errors.append(f"unknown sense '{sense}'")
     if errors:
         raise MilpModelError("; ".join(errors))
-    return dataclasses.replace(
+    return replace(
         model,
         A=np.vstack([model.A, rows]),
         relations=model.relations + [cons.relation for cons in constraints],
@@ -586,4 +585,4 @@ def restrict_binaries(model: MilpModel, pattern: np.ndarray) -> MilpModel:
     lower, upper = model.lower.copy(), model.upper.copy()
     lower[cols] = values
     upper[cols] = values
-    return dataclasses.replace(model, lower=lower, upper=upper)
+    return replace(model, lower=lower, upper=upper)

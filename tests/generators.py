@@ -37,6 +37,15 @@ def net_box(net: MlpSurrogate, half_width=2.0):
     return inputs, outputs
 
 
+def fix_inputs(model: milp.MilpModel, values: dict) -> milp.MilpModel:
+    """`model` with the named variables pinned to the given values."""
+    lower, upper = model.lower.copy(), model.upper.copy()
+    for name, value in values.items():
+        j = model.names.index(name)
+        lower[j] = upper[j] = value
+    return dataclasses.replace(model, lower=lower, upper=upper)
+
+
 def encoding_deviation(net: MlpSurrogate, x: np.ndarray) -> float:
     """Worst |MILP-implied output - forward(net, x)| over output coordinates.
 
@@ -46,11 +55,7 @@ def encoding_deviation(net: MlpSurrogate, x: np.ndarray) -> float:
     """
     inputs, outputs = net_box(net)
     model = milp.encode_network(net, inputs, outputs)
-    lower, upper = model.lower.copy(), model.upper.copy()
-    for i, v in enumerate(inputs):
-        j = model.names.index(v.name)
-        lower[j] = upper[j] = float(x[i])
-    pinned = dataclasses.replace(model, lower=lower, upper=upper)
+    pinned = fix_inputs(model, {v.name: float(x[i]) for i, v in enumerate(inputs)})
     want = forward(net, x)
     worst = 0.0
     for k in range(net.n_outputs):

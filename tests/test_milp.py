@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -26,6 +24,7 @@ from cnma.problem import LinearConstraint, VariableSpec, linear, load_problem
 from generators import (
     assert_solver_matches_oracle,
     encoding_deviation,
+    fix_inputs,
     net_box,
     random_milp,
     random_net,
@@ -145,14 +144,6 @@ class TestEncodeRelu:
                 encode_network(
                     net, [VariableSpec("x", -1.0, 1.0)], [VariableSpec("y", -1.0, 1.0)]
                 )
-
-
-def fix_inputs(model, values):
-    lower, upper = model.lower.copy(), model.upper.copy()
-    for name, value in values.items():
-        j = model.names.index(name)
-        lower[j] = upper[j] = value
-    return dataclasses.replace(model, lower=lower, upper=upper)
 
 
 class TestEncodeNetwork:
