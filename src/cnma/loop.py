@@ -298,9 +298,10 @@ def _iterate(run: _Run, it: int) -> IterationRecord:
             "random", run.best_phi,
         )
 
-    x_star = np.clip(
-        [assignment[v.name] for v in problem.inputs], run.lower, run.upper
-    )
+    x_star = np.array([assignment[v.name] for v in problem.inputs])
+    # an integer input's branch-and-bound value is integral up to INT_TOL
+    integer = np.array([v.kind == "integer" for v in problem.inputs])
+    x_star = np.clip(np.where(integer, np.rint(x_star), x_star), run.lower, run.upper)
     y_hat = tuple(assignment[v.name] for v in problem.outputs)
     phi_hat = evaluate_linear(problem.objective, assignment)
     run.trace.emit(

@@ -10,9 +10,9 @@ over variable names, such as a problem's constraints; `milp_model` builds a
 model from named variables the same way.  `restrict_binaries` pins the
 indicators to one input's ReLU pattern by changing bounds only, so an
 activation-region probe shares the rows of the full model.  `solve` runs
-best-bound branch and bound over the dense simplex in `simplex.py`;
-`brute_force_milp` enumerates integer assignments and is the reference oracle
-for it.
+best-bound branch and bound over the dense simplex in `simplex.py`, each
+child LP warm-started from its parent's basis; `brute_force_milp` enumerates
+integer assignments and is the reference oracle for it.
 """
 from __future__ import annotations
 
@@ -217,7 +217,9 @@ def solve(
     Budget exhaustion returns status "budget_exceeded" carrying the incumbent
     (assignment may still be None when no integral point was found in time).
     A rounding heuristic is probed at the root and every `HEURISTIC_EVERY`
-    nodes so budgeted runs usually do carry an incumbent.
+    nodes so budgeted runs usually do carry an incumbent.  Each child LP
+    warm-starts from its parent's optimal basis; the root and the rounding
+    LPs start cold.
     """
     sign = -1.0 if model.sense == "maximize" else 1.0
     c_int = sign * model.c
@@ -230,23 +232,24 @@ def solve(
     out_of_budget = False
 
     counter = itertools.count()
-    # key: (bound, -depth, seq) -> best bound first, deeper node on ties
-    heap: list = [(-np.inf, 0, next(counter), model.lower.copy(), model.upper.copy())]
+    # key: (bound, -depth, seq) -> best bound first, deeper node on ties;
+    # then the node's bounds and its parent's LP start
+    heap: list = [(-np.inf, 0, next(counter), model.lower.copy(), model.upper.copy(), None)]
     best_open_bound = -np.inf
 
-    def lp(lo, hi, cvec=c_int):
-        return simplex.solve_lp(cvec, model.A, model.relations, model.b, lo, hi)
+    def lp(lo, hi, start=None):
+        return simplex.solve_lp(c_int, model.A, model.relations, model.b, lo, hi, start=start)
 
     while heap:
         if nodes >= node_budget or (deadline is not None and time.perf_counter() > deadline):
             out_of_budget = True
             break
-        bound, negdepth, _, lo_nd, hi_nd = heappop(heap)
+        bound, negdepth, _, lo_nd, hi_nd, start = heappop(heap)
         best_open_bound = bound
         if bound >= best_obj - ABS_GAP:
             heap.clear()
             break
-        res = lp(lo_nd, hi_nd)
+        res = lp(lo_nd, hi_nd, start)
         nodes += 1
         if res.status == simplex.INFEASIBLE:
             continue
@@ -290,9 +293,9 @@ def solve(
         up_lo[j] = math.ceil(x[j])
         depth = -negdepth + 1
         if down_hi[j] >= lo_nd[j]:
-            heappush(heap, (obj, -depth, next(counter), lo_nd.copy(), down_hi))
+            heappush(heap, (obj, -depth, next(counter), lo_nd.copy(), down_hi, res.start))
         if up_lo[j] <= hi_nd[j]:
-            heappush(heap, (obj, -depth, next(counter), up_lo, hi_nd.copy()))
+            heappush(heap, (obj, -depth, next(counter), up_lo, hi_nd.copy(), res.start))
 
     assignment = None
     objective_value = None
@@ -423,12 +426,12 @@ def encode_network(
 ) -> MilpModel:
     """MILP whose (x, y) projection is the graph of the network.
 
-    Columns, in order: per input its named variable and normalized mirror
-    (_xn*); per hidden neuron its post-activation (_h*), followed by a binary
-    (_d*) if it is unstable; per output its normalized mirror (_yn*) and
-    named variable.  Rows follow the same order: the input scaling, then per
-    hidden neuron one equality if the bounds prove it stable, else the four
-    big-M rows
+    Columns, in order: per input its named variable, integral if the input
+    is integer-kind, and normalized mirror (_xn*); per hidden neuron its
+    post-activation (_h*), followed by a binary (_d*) if it is unstable; per
+    output its normalized mirror (_yn*) and named variable.  Rows follow the
+    same order: the input scaling, then per hidden neuron one equality if the
+    bounds prove it stable, else the four big-M rows
     post >= pre, post >= 0, post <= pre - lo*(1 - d), post <= hi*d,
     then per output the last layer's equality and the output scaling.  The
     model has no objective; `conjoin` adds one with the caller's rows.
@@ -471,6 +474,7 @@ def encode_network(
     upper: list[float] = []
     rows: list[tuple] = []  # (columns, coefficients, relation, rhs)
     indicators: list[int] = []
+    integer_inputs: list[int] = []
 
     def column(name: str, lo: float, hi: float) -> int:
         names.append(name)
@@ -483,6 +487,8 @@ def encode_network(
     prev: list[int] = []
     for i, v in enumerate(input_vars):
         x = column(v.name, box_lo[i], box_hi[i])
+        if v.kind == "integer":
+            integer_inputs.append(x)
         xn = column(f"_xn{i}", xn_lo[i], xn_hi[i])
         # x = scale * xn + shift
         rows.append(([x, xn], [1.0, 0.0 - net.input_scale[i]], "=", net.input_shift[i]))
@@ -543,7 +549,9 @@ def encode_network(
         names=names,
         lower=np.array(lower, dtype=float),
         upper=np.array(upper, dtype=float),
-        int_cols=indicator_cols[indicator_cols >= 0],
+        int_cols=np.concatenate(
+            [np.array(integer_inputs, dtype=np.intp), indicator_cols[indicator_cols >= 0]]
+        ),
         A=A,
         relations=[row[2] for row in rows],
         b=b,

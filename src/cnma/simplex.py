@@ -1,4 +1,5 @@
-"""Dense two-phase simplex for LPs with explicit variable bounds.
+"""Dense two-phase simplex for LPs with explicit variable bounds, and a
+bounded dual simplex that re-solves from an optimal basis after bounds change.
 
 Handles problems of the form
 
@@ -28,6 +29,27 @@ and the results are bit for bit those of a full row-major update.  The
 matrix products of a refresh run on a row-major copy of `T`, so BLAS sees
 the same layout, and returns the same bits, as it would for a row-major
 tableau.
+
+Warm starts.  An optimal result carries an `LpStart`: the working matrix
+`[A | slacks | artificials | b]`, the basis and the at-upper flags, the
+bounds of the slack and artificial columns, and the tableau rows `T[k]` of
+the nonbasic structural and slack columns plus the right-hand side.  Basic
+columns are unit vectors and are rebuilt; artificials pinned at zero can
+never enter again and are dropped.  `solve_lp(start=...)` re-solves the same
+rows under new structural bounds, as a branch-and-bound child does: it
+rebuilds the tableau, puts each nonbasic column at its (new) bound, and runs
+the dual simplex, since the parent's basis stays dual feasible.  The leaving
+row is the most infeasible one; the entering column has the smallest
+|d_k| / |alpha_k| among those that move the leaving variable toward its
+violated bound, the largest |alpha_k| among ties.  There is no bound
+flipping: an entering column that overshoots its other bound is simply
+infeasible in the next round.  A primal phase 2 then removes any dual
+infeasibility left by drift, and the final basis solve is the cold path's.
+The start is never written to, so both children of a node can share it.
+The warm path falls back to the cold solve when it hits the iteration
+limit, when its answer fails the residual audit, and when a row has no
+entering column while its infeasibility is within `PHASE1_TOL`, too small
+to prove the LP infeasible.
 """
 from __future__ import annotations
 
@@ -45,10 +67,25 @@ RTOL = 1e-10  # ratio-test denominator threshold
 PHASE1_TOL = 1e-7  # residual artificial mass considered infeasible
 STALL_LIMIT = 40  # degenerate steps before switching to Bland's rule
 REFRESH_EVERY = 60  # iterations between full beta/zrow recomputations
+PTOL = 1e-9  # bound violation of a basic variable the dual simplex repairs
 
 
 class LpNumericalError(RuntimeError):
     """The solver could not produce a numerically trustworthy answer."""
+
+
+@dataclass(frozen=True)
+class LpStart:
+    """An optimal basis of one LP, to re-solve from under other bounds."""
+
+    W: np.ndarray  # working matrix [A | slacks | artificials | b], shared
+    basis: np.ndarray
+    at_upper: np.ndarray
+    lo_extra: np.ndarray  # bounds of the slack and artificial columns
+    hi_extra: np.ndarray
+    cols: np.ndarray  # the nonbasic structural and slack columns
+    T_cols: np.ndarray  # their tableau rows, shape (cols.size, m)
+    rhs: np.ndarray  # the tableau's right-hand side
 
 
 @dataclass
@@ -57,6 +94,7 @@ class LpResult:
     x: np.ndarray | None
     objective: float | None
     iterations: int = 0
+    start: LpStart | None = None  # set on an optimal result with rows
 
 
 def solve_lp(
@@ -67,8 +105,14 @@ def solve_lp(
     lower,
     upper,
     maximize: bool = False,
+    start: LpStart | None = None,
 ) -> LpResult:
-    """Solve the LP; relations is a sequence over {"<=", ">=", "="}."""
+    """Solve the LP; relations is a sequence over {"<=", ">=", "="}.
+
+    `start` is the `start` of an optimal result for the same c, A,
+    relations, b and sense under other bounds; the solve then warm-starts
+    from that basis (see the module docstring).
+    """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
     if A.size == 0:
@@ -92,15 +136,26 @@ def solve_lp(
         return LpResult(INFEASIBLE, None, None, 0)
 
     obj = -c if maximize else c
-    result = _simplex(obj, A, relations, b, lower, upper, False)
-    if result.status == OPTIMAL:
-        # cheap residual audit; rerun deterministically under Bland's rule if
-        # the tableau drifted
-        if _max_violation(A, relations, b, lower, upper, result.x) > 1e-6:
-            result = _simplex(obj, A, relations, b, lower, upper, True)
+    result = None
+    if start is not None:
+        if start.W.shape != (m, n + start.lo_extra.size + 1):
+            raise ValueError("start is from an LP of another shape")
+        result = _warm_simplex(obj, lower, upper, start)
+        if result.status not in (OPTIMAL, INFEASIBLE) or (
+            result.status == OPTIMAL
+            and _max_violation(A, relations, b, lower, upper, result.x) > 1e-6
+        ):
+            result = None
+    if result is None:
+        result = _simplex(obj, A, relations, b, lower, upper, False)
+        if result.status == OPTIMAL:
+            # cheap residual audit; rerun deterministically under Bland's rule
+            # if the tableau drifted
+            if _max_violation(A, relations, b, lower, upper, result.x) > 1e-6:
+                result = _simplex(obj, A, relations, b, lower, upper, True)
     if result.status == OPTIMAL:
         value = float(c @ result.x)
-        return LpResult(OPTIMAL, result.x, value, result.iterations)
+        return LpResult(OPTIMAL, result.x, value, result.iterations, result.start)
     return result
 
 
@@ -210,7 +265,12 @@ def _simplex(c, A, relations, b, lower, upper, bland_start) -> LpResult:
     total_iters += iters
     if status != OPTIMAL:
         return LpResult(status, None, None, total_iters)
+    return _finish(state, W, c, n, total_iters)
 
+
+def _finish(state: _State, W: np.ndarray, c: np.ndarray, n: int, iters: int) -> LpResult:
+    """The optimal result of `state`, and its start."""
+    ncols, lo, hi = state.ncols, state.lo, state.hi
     values = np.where(state.at_upper, np.where(np.isfinite(hi), hi, 0.0), np.where(np.isfinite(lo), lo, 0.0))
     values[state.basis] = state.beta
     # refresh basic values from a fresh solve against the original columns
@@ -218,12 +278,49 @@ def _simplex(c, A, relations, b, lower, upper, bland_start) -> LpResult:
     nb_vals[state.basis] = 0.0
     try:
         B = W[:, state.basis]
-        exact = np.linalg.solve(B, b - W[:, :ncols] @ nb_vals)
+        exact = np.linalg.solve(B, W[:, ncols] - W[:, :ncols] @ nb_vals)
         values[state.basis] = exact
     except np.linalg.LinAlgError:
         pass
     x = values[:n]
-    return LpResult(OPTIMAL, x, float(c @ x), total_iters)
+    # pinned artificials never enter again; basic columns are unit vectors
+    cols = np.flatnonzero(~state.basic_mask & (state.movable | (np.arange(ncols) < n)))
+    start = LpStart(
+        W, state.basis.copy(), state.at_upper.copy(), lo[n:].copy(), hi[n:].copy(),
+        cols, state.T[cols], state.T[ncols].copy(),
+    )
+    return LpResult(OPTIMAL, x, float(c @ x), iters, start)
+
+
+def _warm_simplex(c, lower, upper, start: LpStart) -> LpResult:
+    """Re-optimize from `start` under new structural bounds; never writes to it.
+
+    A status other than OPTIMAL or INFEASIBLE means no trustworthy answer.
+    """
+    W = start.W
+    m, n = W.shape[0], lower.size
+    ncols = W.shape[1] - 1
+    T = np.zeros((ncols + 1, m))
+    T[start.cols] = start.T_cols
+    T[ncols] = start.rhs
+    T[start.basis, np.arange(m)] = 1.0
+    lo = np.concatenate([lower, start.lo_extra])
+    hi = np.concatenate([upper, start.hi_extra])
+    basic_mask = np.zeros(ncols, dtype=bool)
+    basic_mask[start.basis] = True
+    # a nonbasic column pinned by the new bounds sits at them, whichever its flag
+    state = _State(T, start.basis.copy(), np.empty(m), start.at_upper.copy(),
+                   basic_mask, lo, hi, (hi - lo) > 0, m, ncols)
+    cvec = np.zeros(ncols)
+    cvec[:n] = c
+    max_iter = 500 + 40 * (m + n)
+    status, iters = _dual_phase(state, cvec, max_iter)
+    if status != OPTIMAL:
+        return LpResult(status, None, None, iters)
+    status, more = _run_phase(state, cvec, max_iter, False)
+    if status != OPTIMAL:
+        return LpResult(status, None, None, iters + more)
+    return _finish(state, W, c, n, iters + more)
 
 
 class _State:
@@ -338,6 +435,53 @@ def _run_phase(state: _State, cvec: np.ndarray, max_iter: int, bland_start: bool
         beta[p] = (hi[j] if state.at_upper[j] else lo[j]) + d * t_star
 
         stall = stall + 1 if t_star <= 1e-11 else 0
+        if iters % REFRESH_EVERY == 0:
+            zrow = _refresh(state, cvec)
+    return ITERATION_LIMIT, iters
+
+
+def _dual_phase(state: _State, cvec: np.ndarray, max_iter: int):
+    """Dual simplex from a dual feasible basis until every basic value is in bounds."""
+    T = state.T
+    ncols = state.ncols
+    lo, hi = state.lo, state.hi
+    zrow = _refresh(state, cvec)
+    iters = 0
+    while iters < max_iter:
+        beta = state.beta
+        below = lo[state.basis] - beta
+        infeas = np.maximum(below, beta - hi[state.basis])
+        p = int(np.argmax(infeas))
+        gap = float(infeas[p])
+        if gap <= PTOL:
+            return OPTIMAL, iters
+        iters += 1
+        rise = below[p] > 0  # the leaving variable goes up to its lower bound
+        alpha = T[:ncols, p]
+        # how far raising column k moves the leaving variable toward its bound
+        toward = -alpha if rise else alpha
+        elig = state.cand & np.where(state.at_upper, toward < -RTOL, toward > RTOL)
+        idxs = np.flatnonzero(elig)
+        if idxs.size == 0:
+            # no column can repair row p: infeasible, unless the gap is noise
+            return (INFEASIBLE if gap > PHASE1_TOL else ITERATION_LIMIT), iters
+        size = np.abs(alpha[idxs])
+        ratios = np.abs(zrow[idxs]) / size
+        ties = np.flatnonzero(ratios <= ratios.min() + 1e-9)
+        good = ties[size[ties] >= 1e-7]
+        if good.size:
+            ties = good
+        q = int(idxs[ties[np.argmax(size[ties])]])
+
+        leaving = state.basis[p]
+        bound = lo[leaving] if rise else hi[leaving]
+        t = (beta[p] - bound) / alpha[q]  # the entering column's move
+        beta -= T[q] * t
+        state.at_upper[leaving] = not rise
+        _pivot(state, p, q)
+        zrow -= zrow[q] * T[:ncols, p]
+        zrow[q] = 0.0
+        beta[p] = (hi[q] if state.at_upper[q] else lo[q]) + t
         if iters % REFRESH_EVERY == 0:
             zrow = _refresh(state, cvec)
     return ITERATION_LIMIT, iters

@@ -14,6 +14,7 @@ the same seed produces byte-identical data columns.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -133,26 +134,32 @@ class TraceRecorder:
         )
 
     def write(self, path: str | Path) -> None:
+        """The CSV a `csv.writer` would write, built without it per row.
+
+        Only run_id and solver can need quoting: events are names from
+        EVENTS, and numbers are written with repr (`None` as empty).
+        """
+        blank_x = [""] * len(self.input_names)
+        blank_y = [""] * len(self.output_names)
+        heads: dict[tuple[str, str], str] = {}
+
+        def line(r: TraceRow) -> str:
+            head = heads.get((r.run_id, r.solver))
+            if head is None:
+                buf = io.StringIO()
+                csv.writer(buf, lineterminator="\n").writerow([r.run_id, r.solver])
+                # strip the terminator only: a quoted field may hold newlines
+                head = heads[(r.run_id, r.solver)] = buf.getvalue()[:-1]
+            xs = blank_x if r.x is None else map(repr, r.x)
+            ys = blank_y if r.y is None else map(repr, r.y)
+            return ",".join([
+                head, _fmt(r.iteration), _fmt(r.eval_seq), r.event, *xs, *ys,
+                _fmt(r.phi), _fmt(r.best_phi), f"{r.wall_ms}\n",
+            ])
+
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(self.header())
-            d = len(self.input_names)
-            m = len(self.output_names)
-            for r in self.rows:
-                xs = [""] * d if r.x is None else [_fmt(v) for v in r.x]
-                ys = [""] * m if r.y is None else [_fmt(v) for v in r.y]
-                writer.writerow(
-                    [
-                        r.run_id,
-                        r.solver,
-                        _fmt(r.iteration),
-                        _fmt(r.eval_seq),
-                        r.event,
-                    ]
-                    + xs
-                    + ys
-                    + [_fmt(r.phi), _fmt(r.best_phi), str(r.wall_ms)]
-                )
+            csv.writer(fh, lineterminator="\n").writerow(self.header())
+            fh.writelines(map(line, self.rows))
 
     def to_trace(self) -> Trace:
         return Trace(list(self.input_names), list(self.output_names), list(self.rows))

@@ -124,3 +124,41 @@ def test_solve_agrees_with_highs_on_encoded_surrogates():
             assert_objectives_agree(got.objective_value, value)
         statuses.append(status)
     assert milp.OPTIMAL in statuses and milp.INFEASIBLE in statuses
+
+
+def test_warm_started_child_lps_agree_with_highs(monkeypatch):
+    """Each B&B child LP that warm-starts from its parent's basis, infeasible
+    ones included, against HiGHS on the same LP."""
+    children = []
+    real = simplex.solve_lp
+
+    def spy(*args, **kwargs):
+        result = real(*args, **kwargs)
+        if kwargs.get("start") is not None:
+            children.append((args, result))
+        return result
+
+    monkeypatch.setattr(simplex, "solve_lp", spy)
+    rng = np.random.default_rng(1111)
+    for _ in range(40):
+        net = random_net(rng)
+        inputs, outputs = net_box(net)
+        names = [v.name for v in inputs + outputs]
+        objective = linear(*((float(rng.normal()), name) for name in names))
+        sense = "maximize" if rng.random() < 0.5 else "minimize"
+        floor = LinearConstraint(linear((1.0, "y0")), ">=", float(rng.normal(0.0, 3.0)))
+        model = milp.conjoin(
+            milp.encode_network(net, inputs, outputs), [floor], objective, sense
+        )
+        milp.solve(model)
+    monkeypatch.undo()
+    statuses = []
+    for (c, A, rel, b, lo, hi), got in children:
+        # milp.solve passes every LP as a minimization
+        status, value = highs_lp(c, A, rel, b, lo, hi, False)
+        assert got.status == status
+        if status == simplex.OPTIMAL:
+            assert_objectives_agree(got.objective, value)
+        statuses.append(status)
+    assert statuses.count(simplex.OPTIMAL) >= 50
+    assert statuses.count(simplex.INFEASIBLE) >= 5

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from cnma.benchmarks import rosenbrock_forward
+from cnma.benchmarks import builtin_problem_path, rosenbrock_forward
 from cnma.loop import CnmaConfig, cnma_run
 from cnma.problem import (
     BlackboxRef,
@@ -11,8 +13,9 @@ from cnma.problem import (
     check_constraints,
     evaluate_linear,
     linear,
+    load_problem,
 )
-from cnma.trace import TraceRecorder, validate_trace
+from cnma.trace import EVAL_EVENTS, TraceRecorder, validate_trace
 
 
 def rosenbrock_problem(constraints=(), solver_defaults=None):
@@ -182,6 +185,22 @@ class TestStopping:
         assert res.stop_reason == "max_iterations"
         assert res.iterations == []
         assert res.counter.total_calls == 2
+
+
+class TestIntegerInputs:
+    def test_every_evaluated_integer_input_is_integral(self):
+        shipped = load_problem(builtin_problem_path("rosenbrock"))
+        x1, x2 = shipped.inputs
+        problem = dataclasses.replace(
+            shipped, inputs=[dataclasses.replace(x1, kind="integer"), x2]
+        )
+        trace = TraceRecorder("int", "cnma", problem.input_names(), problem.output_names())
+        config = CnmaConfig.for_problem(problem, eval_budget=8, seed=1)
+        res = cnma_run(problem, config, trace)
+        assert res.counter.total_calls == 8
+        evaluated = [r.x[0] for r in trace.rows if r.event in EVAL_EVENTS]
+        assert len(evaluated) >= 6
+        assert all(v == round(v) for v in evaluated), evaluated
 
 
 class TestConfig:

@@ -217,6 +217,24 @@ class TestEncodeNetwork:
         assert [model.names[j] for j in model.int_cols] == ["_d0_0"]
         assert model.indicators.tolist() == [model.names.index("_d0_0"), -1]
 
+    def test_integer_inputs_are_integer_columns(self):
+        # y = relu(x) on x in [-5, 5], maximized below y <= 2.5: x = 2.5
+        # unless x must be an integer
+        model = encode_network(
+            relu_net(),
+            [VariableSpec("x", -5.0, 5.0, "integer")],
+            [VariableSpec("y", -10.0, 10.0)],
+        )
+        assert [model.names[j] for j in model.int_cols] == ["x", "_d0_0"]
+        capped = conjoin(
+            model, [LinearConstraint(linear((1.0, "y")), "<=", 2.5)],
+            linear((1.0, "y")), "maximize",
+        )
+        sol = solve(capped)
+        assert sol.status == OPTIMAL
+        assert sol.assignment["x"] == pytest.approx(2.0, abs=1e-6)
+        assert sol.objective_value == pytest.approx(2.0, abs=1e-6)
+
 
 class TestSolve:
     def test_pure_lp(self):

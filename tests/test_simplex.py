@@ -1,5 +1,8 @@
 """LP core tests against the exact rational reference in rational_lp.py and
-the frozen dense kernel in dense_simplex.py."""
+the frozen dense kernel in dense_simplex.py, and warm starts against cold
+solves."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -186,16 +189,10 @@ def surrogate_lps(monkeypatch, net, model, node_budget, probe_inputs):
     return calls
 
 
-def assert_recorded_lps_identical(calls):
-    assert calls
-    for args, kwargs in calls:
-        assert_same_result(
-            simplex.solve_lp(*args, **kwargs), dense_simplex.solve_lp(*args, **kwargs)
-        )
-
-
-def test_bit_identical_to_dense_kernel_on_encoded_surrogates(monkeypatch):
+def random_surrogate_calls(monkeypatch):
+    """The LPs of 12 random_net encodings, their B&B run to 200 nodes."""
     rng = np.random.default_rng(77)
+    calls = []
     for _ in range(12):
         net = random_net(rng)
         inputs, outputs = net_box(net)
@@ -204,11 +201,11 @@ def test_bit_identical_to_dense_kernel_on_encoded_surrogates(monkeypatch):
         sense = "maximize" if rng.random() < 0.5 else "minimize"
         model = milp.conjoin(milp.encode_network(net, inputs, outputs), (), objective, sense)
         probes = rng.uniform(-2.0, 2.0, size=(3, net.n_inputs))
-        calls = surrogate_lps(monkeypatch, net, model, 200, probes)
-        assert_recorded_lps_identical(calls)
+        calls += surrogate_lps(monkeypatch, net, model, 200, probes)
+    return calls
 
 
-def test_bit_identical_to_dense_kernel_on_polak3_sized_surrogate(monkeypatch):
+def polak3_sized_model():
     """12 -> 35 -> 10 net on the polak3 constraints: the size the loop solves."""
     problem = load_problem(builtin_problem_path("polak3"))
     net = init_network((12, 35, 10), seed=3)
@@ -217,6 +214,121 @@ def test_bit_identical_to_dense_kernel_on_polak3_sized_surrogate(monkeypatch):
     net.output_scale = np.full(10, 40.0)
     model = milp.assemble_problem_milp(problem, net)
     assert model.int_cols.size >= 20
+    return net, model
+
+
+def polak3_sized_calls(monkeypatch):
+    net, model = polak3_sized_model()
     probes = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, 12))
-    calls = surrogate_lps(monkeypatch, net, model, 16, probes)
-    assert_recorded_lps_identical(calls)
+    return surrogate_lps(monkeypatch, net, model, 16, probes)
+
+
+@pytest.fixture(scope="module")
+def surrogate_calls():
+    """Recorded LPs by fixture name; recorded once for the module."""
+    with pytest.MonkeyPatch.context() as mp:
+        return {
+            "random": random_surrogate_calls(mp),
+            "polak3": polak3_sized_calls(mp),
+        }
+
+
+def warm_calls(calls):
+    """(args, kwargs) of the calls that pass a start: the B&B child LPs."""
+    return [(args, kwargs) for args, kwargs in calls if kwargs.get("start") is not None]
+
+
+def assert_agrees_with_cold(warm, cold):
+    assert warm.status == cold.status
+    if cold.status == simplex.OPTIMAL:
+        assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+
+
+def assert_recorded_lps_identical(calls):
+    """Cold calls bit for bit against the dense kernel, which has no warm
+    start; warm calls against the cold solve of the same LP."""
+    assert calls
+    for args, kwargs in calls:
+        got = simplex.solve_lp(*args, **kwargs)
+        if kwargs.get("start") is None:
+            assert_same_result(got, dense_simplex.solve_lp(*args))
+        else:
+            assert_agrees_with_cold(got, simplex.solve_lp(*args))
+
+
+def test_bit_identical_to_dense_kernel_on_encoded_surrogates(surrogate_calls):
+    assert_recorded_lps_identical(surrogate_calls["random"])
+
+
+def test_bit_identical_to_dense_kernel_on_polak3_sized_surrogate(surrogate_calls):
+    assert_recorded_lps_identical(surrogate_calls["polak3"])
+
+
+# ---------------------------------------------------------------------------
+# Warm starts from a parent's basis
+
+
+@pytest.mark.parametrize("fixture", ["random", "polak3"])
+def test_warm_child_lps_pass_the_audit(surrogate_calls, fixture):
+    """Agreement with the cold solve is checked with the cold replays above."""
+    statuses = set()
+    for args, kwargs in warm_calls(surrogate_calls[fixture]):
+        got = simplex.solve_lp(*args, **kwargs)
+        if got.status == simplex.OPTIMAL:
+            c, A, relations, b, lower, upper = args
+            assert simplex._max_violation(A, relations, b, lower, upper, got.x) <= 1e-6
+        statuses.add(got.status)
+    assert statuses == {simplex.OPTIMAL, simplex.INFEASIBLE}
+
+
+def test_warm_child_lps_take_under_a_third_of_the_cold_pivots(surrogate_calls):
+    """A silent fallback to the cold path would pass every other warm test."""
+    warm = warm_calls(surrogate_calls["polak3"])
+    assert len(warm) >= 10
+    warm_pivots = sum(simplex.solve_lp(*args, **kwargs).iterations for args, kwargs in warm)
+    cold_pivots = sum(simplex.solve_lp(*args).iterations for args, _ in warm)
+    assert warm_pivots < cold_pivots / 3, (warm_pivots, cold_pivots)
+
+
+def root_and_children():
+    """The polak3-sized root LP, its start, and its two branch bounds."""
+    _, model = polak3_sized_model()
+    lp = (model.c, model.A, model.relations, model.b)
+    root = simplex.solve_lp(*lp, model.lower, model.upper)
+    assert root.status == simplex.OPTIMAL and root.start is not None
+    xi = root.x[model.int_cols]
+    j = int(model.int_cols[np.argmax(np.abs(xi - np.round(xi)))])
+    down_hi = model.upper.copy()
+    down_hi[j] = np.floor(root.x[j])
+    up_lo = model.lower.copy()
+    up_lo[j] = np.ceil(root.x[j])
+    return lp, root, [(model.lower, down_hi), (up_lo, model.upper)]
+
+
+def test_start_is_unchanged_by_its_children():
+    lp, root, children = root_and_children()
+    start = root.start
+    before = {f.name: getattr(start, f.name).tobytes() for f in dataclasses.fields(start)}
+    for lower, upper in children:
+        child = simplex.solve_lp(*lp, lower, upper, start=start)
+        assert_agrees_with_cold(child, simplex.solve_lp(*lp, lower, upper))
+        if child.start is not None:
+            assert child.start.W is start.W  # every node of one B&B shares it
+    after = {f.name: getattr(start, f.name).tobytes() for f in dataclasses.fields(start)}
+    assert after == before
+
+
+def test_failed_warm_solve_returns_the_cold_result_bit_for_bit(monkeypatch):
+    lp, root, children = root_and_children()
+    failed = []
+
+    def give_up(*args):
+        failed.append(args)
+        return simplex.LpResult(simplex.ITERATION_LIMIT, None, None, 7)
+
+    monkeypatch.setattr(simplex, "_warm_simplex", give_up)
+    for lower, upper in children:
+        got = simplex.solve_lp(*lp, lower, upper, start=root.start)
+        assert_same_result(got, simplex.solve_lp(*lp, lower, upper))
+        assert_same_result(got, dense_simplex.solve_lp(*lp, lower, upper))
+    assert len(failed) == 2

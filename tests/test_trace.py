@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 
 import pytest
@@ -110,6 +111,54 @@ class TestRoundTrip:
         path = tmp_path_factory.mktemp("rt") / "t.csv"
         rec.write(path)
         assert load_trace(path).rows == rec.rows
+
+
+def csv_writer_reference(rec: TraceRecorder, path) -> None:
+    """The row-by-row `csv.writer` loop `TraceRecorder.write` must match."""
+
+    def fmt(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, float):
+            return repr(value)
+        return str(value)
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(rec.header())
+        d, m = len(rec.input_names), len(rec.output_names)
+        for r in rec.rows:
+            xs = [""] * d if r.x is None else [fmt(v) for v in r.x]
+            ys = [""] * m if r.y is None else [fmt(v) for v in r.y]
+            writer.writerow(
+                [r.run_id, r.solver, fmt(r.iteration), fmt(r.eval_seq), r.event]
+                + xs + ys + [fmt(r.phi), fmt(r.best_phi), str(r.wall_ms)]
+            )
+
+
+class TestWriteMatchesCsvWriter:
+    @pytest.mark.parametrize("run_id", ["run-1", 'run,"1"', "two\nlines", ""])
+    def test_same_bytes(self, tmp_path, run_id):
+        rec = minimize_recorder()
+        awkward = (float("nan"), float("inf"), float("-inf"), -0.0, 1e-300)
+        for i, v in enumerate(awkward, start=6):
+            rec.emit("eval", iteration=i, eval_seq=i, x=(v, -v), y=(v,), phi=v,
+                     best_phi=None, wall_ms=i)
+            rec.emit("infeasible", iteration=i, x=(v, -v), y=(v,), phi=v)
+        rec.emit("timeout", iteration=11, eval_seq=11, x=(-0.0, 0.0), best_phi=-0.0)
+        rec.emit("milp_infeasible", iteration=12)
+        rec.rows = [dataclasses.replace(r, run_id=run_id) for r in rec.rows]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        rec.write(got)
+        csv_writer_reference(rec, want)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_no_rows_writes_the_header(self, tmp_path):
+        rec = TraceRecorder("r", "random", ["a"], ["f"])
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        rec.write(got)
+        csv_writer_reference(rec, want)
+        assert got.read_bytes() == want.read_bytes() == b"run_id,solver,iteration,eval_seq,event,x:a,y:f,phi,best_phi,wall_ms\n"
 
 
 class TestLoadErrors:

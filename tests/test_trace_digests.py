@@ -34,7 +34,7 @@ CASES = [
     ("rosenbrock", "nelder-mead", 200, 1, None, "3bd105c479976882"),
     ("rosenbrock", "nelder-mead", 200, 3, "0.5", "6e8bed9283ef0fc4"),
     ("polak3", "cnma", 8, 1, None, "3ed410eb03f23cd8"),
-    ("rosenbrock", "cnma", 12, 1, None, "8209f1e617f82ff0"),
+    ("rosenbrock", "cnma", 12, 1, None, "a2e9da44a371bb9d"),
     ("polak3", "nelder-mead", 200, 2, None, "f669dffb56211133"),
     ("rosenbrock", "random", 50, 3, "5", "a3d841c6f0e4c79c"),
 ]
