@@ -46,10 +46,8 @@ class CnmaConfig:
     step_size: float = 1e-3
     batch_size: int = 256
     milp_node_budget: int = 600
-    milp_time_budget: float = 10.0
     pattern_probes: int = 6  # sample activation regions probed per iteration
     objective_target: float | None = None
-    random_fill_count: int = 1
 
     def __post_init__(self):
         self.net_hidden = tuple(int(h) for h in self.net_hidden)
@@ -194,23 +192,19 @@ def _worst_violation(problem: ProblemSpec, sample: Sample) -> float:
     )
 
 
-def _propose(run: _Run, net, model) -> tuple[str, dict | None, float | None]:
+def _propose(run: _Run, net, model) -> tuple[str, dict | None]:
     """Best proposal from the budgeted solve plus activation-region probes.
 
-    Returns (milp_status, assignment or None, objective value).  The full
-    solve may stop at its budget without an integral point; probing the
-    regions of good known samples then supplies candidates the branch and
-    bound could not reach, each via a single restricted solve.
+    Returns (milp_status, assignment or None).  The full solve may stop at
+    its budget without an integral point; probing the regions of good known
+    samples then supplies candidates the branch and bound could not reach,
+    each via a single restricted solve.
     """
     config, sign = run.config, run.sign
     candidates: list[tuple[float, dict]] = []
     full_status = None
     try:
-        full = milp.solve(
-            model,
-            node_budget=config.milp_node_budget,
-            time_budget=config.milp_time_budget,
-        )
+        full = milp.solve(model, node_budget=config.milp_node_budget)
         full_status = full.status
         if full.assignment is not None:
             candidates.append((sign * full.objective_value, full.assignment))
@@ -229,18 +223,14 @@ def _propose(run: _Run, net, model) -> tuple[str, dict | None, float | None]:
                 continue
             seen.add(key)
             try:
-                sol = milp.solve(
-                    probe,
-                    node_budget=8,
-                    time_budget=config.milp_time_budget,
-                )
+                sol = milp.solve(probe, node_budget=8)
             except LpNumericalError:
                 continue
             if sol.status == milp.OPTIMAL and sol.assignment is not None:
                 candidates.append((sign * sol.objective_value, sol.assignment))
 
     if not candidates:
-        return full_status or "infeasible", None, None
+        return full_status or "infeasible", None
     # Conservative pick: among candidates predicted to beat the incumbent,
     # take the *least* ambitious one.  Deep predicted improvements are where
     # the surrogate is most wrong, so chasing the global minimizer yields a
@@ -248,14 +238,14 @@ def _propose(run: _Run, net, model) -> tuple[str, dict | None, float | None]:
     incumbent = None if run.best_phi is None else sign * run.best_phi
     improving = [c for c in candidates if incumbent is None or c[0] < incumbent - 1e-9]
     if improving:
-        best_key, best_assignment = max(improving, key=lambda c: c[0])
+        best_assignment = max(improving, key=lambda c: c[0])[1]
     else:
-        best_key, best_assignment = min(candidates, key=lambda c: c[0])
+        best_assignment = min(candidates, key=lambda c: c[0])[1]
     if full_status == milp.OPTIMAL:
         status = milp.OPTIMAL
     else:
         status = milp.BUDGET_EXCEEDED
-    return status, best_assignment, sign * best_key
+    return status, best_assignment
 
 
 def _iterate(run: _Run, it: int) -> IterationRecord:
@@ -284,7 +274,7 @@ def _iterate(run: _Run, it: int) -> IterationRecord:
     except milp.EncodingError:
         milp_status = "encoding_failed"
     else:
-        milp_status, assignment, _ = _propose(run, net, model)
+        milp_status, assignment = _propose(run, net, model)
 
     if assignment is None:
         run.trace.emit(
@@ -292,7 +282,7 @@ def _iterate(run: _Run, it: int) -> IterationRecord:
             iteration=it,
             best_phi=run.best_phi,
         )
-        run.random_fill(config.random_fill_count)
+        run.random_fill(1)
         return IterationRecord(
             it, train_loss, milp_status, None, None, None, None, None,
             "random", run.best_phi,
@@ -315,7 +305,7 @@ def _iterate(run: _Run, it: int) -> IterationRecord:
 
     rec, sample = run.sample(x_star, "eval")
     if sample is None:
-        run.random_fill(config.random_fill_count)
+        run.random_fill(1)
         return IterationRecord(
             it, train_loss, milp_status, tuple(x_star), y_hat,
             rec.status, None, None, "random", run.best_phi,

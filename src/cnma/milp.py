@@ -86,7 +86,6 @@ class MilpSolution:
     assignment: dict[str, float] | None
     objective_value: float | None
     nodes: int = 0
-    best_bound: float | None = None
 
 
 def milp_model(
@@ -188,17 +187,8 @@ def conjoin(
 
 def _check_assignment(model: MilpModel, x: np.ndarray) -> float:
     """Worst normalized violation over rows, bounds and integrality."""
-    worst = 0.0
-    if len(model.relations):
-        resid = model.A @ x - model.b
-        scale = np.maximum(1.0, np.abs(model.b))
-        for i, rel in enumerate(model.relations):
-            if rel == "<=":
-                worst = max(worst, resid[i] / scale[i])
-            elif rel == ">=":
-                worst = max(worst, -resid[i] / scale[i])
-            else:
-                worst = max(worst, abs(resid[i]) / scale[i])
+    rows = simplex._row_violations(model.A @ x - model.b, model.relations)
+    worst = float(np.max(rows / np.maximum(1.0, np.abs(model.b)), initial=0.0))
     worst = max(worst, float(np.max(model.lower - x, initial=0.0)))
     worst = max(worst, float(np.max(x - model.upper, initial=0.0)))
     if model.int_cols.size:
@@ -214,8 +204,11 @@ def solve(
 ) -> MilpSolution:
     """Best-bound branch and bound with most-fractional branching.
 
-    Budget exhaustion returns status "budget_exceeded" carrying the incumbent
-    (assignment may still be None when no integral point was found in time).
+    The status is "budget_exceeded", with the incumbent found so far if any,
+    when the nodes or the time ran out or a node LP had no trustworthy
+    answer; otherwise it is "optimal" with an incumbent and "infeasible"
+    without.  `time_budget` is in wall-clock seconds, so a solve it cuts
+    depends on the machine; the cnma loop bounds nodes only.
     A rounding heuristic is probed at the root and every `HEURISTIC_EVERY`
     nodes so budgeted runs usually do carry an incumbent.  Each child LP
     warm-starts from its parent's optimal basis; the root and the rounding
@@ -235,7 +228,6 @@ def solve(
     # key: (bound, -depth, seq) -> best bound first, deeper node on ties;
     # then the node's bounds and its parent's LP start
     heap: list = [(-np.inf, 0, next(counter), model.lower.copy(), model.upper.copy(), None)]
-    best_open_bound = -np.inf
 
     def lp(lo, hi, start=None):
         return simplex.solve_lp(c_int, model.A, model.relations, model.b, lo, hi, start=start)
@@ -245,9 +237,7 @@ def solve(
             out_of_budget = True
             break
         bound, negdepth, _, lo_nd, hi_nd, start = heappop(heap)
-        best_open_bound = bound
         if bound >= best_obj - ABS_GAP:
-            heap.clear()
             break
         res = lp(lo_nd, hi_nd, start)
         nodes += 1
@@ -299,7 +289,6 @@ def solve(
 
     assignment = None
     objective_value = None
-    best_bound = None
     if best_x is not None:
         violation = _check_assignment(model, best_x)
         if violation > FEAS_TOL:
@@ -308,23 +297,11 @@ def solve(
             )
         assignment = {name: float(v) for name, v in zip(model.names, best_x)}
         objective_value = float(sign * best_obj) + model.obj_const
-    if heap or out_of_budget:
-        open_bounds = [item[0] for item in heap]
-        inner = min(open_bounds) if open_bounds else best_open_bound
-        if best_x is not None:
-            inner = min(inner, best_obj)
-        if np.isfinite(inner):
-            best_bound = float(sign * inner) + model.obj_const
-
-    if out_of_budget:
-        return MilpSolution(BUDGET_EXCEEDED, assignment, objective_value, nodes, best_bound)
-    if best_x is None:
-        if not numerically_clean:
-            return MilpSolution(BUDGET_EXCEEDED, None, None, nodes, best_bound)
-        return MilpSolution(INFEASIBLE, None, None, nodes, None)
-    if not numerically_clean:
-        return MilpSolution(BUDGET_EXCEEDED, assignment, objective_value, nodes, best_bound)
-    return MilpSolution(OPTIMAL, assignment, objective_value, nodes, objective_value)
+    if out_of_budget or not numerically_clean:
+        status = BUDGET_EXCEEDED
+    else:
+        status = INFEASIBLE if best_x is None else OPTIMAL
+    return MilpSolution(status, assignment, objective_value, nodes)
 
 
 def brute_force_milp(model: MilpModel, max_combinations: int = 2**20) -> MilpSolution:
@@ -340,7 +317,7 @@ def brute_force_milp(model: MilpModel, max_combinations: int = 2**20) -> MilpSol
         lo = math.ceil(model.lower[j] - INT_TOL)
         hi = math.floor(model.upper[j] + INT_TOL)
         if lo > hi:
-            return MilpSolution(INFEASIBLE, None, None, 0, None)
+            return MilpSolution(INFEASIBLE, None, None, 0)
         ranges.append(range(lo, hi + 1))
     total = 1
     for r in ranges:
@@ -364,10 +341,10 @@ def brute_force_milp(model: MilpModel, max_combinations: int = 2**20) -> MilpSol
             best_obj = res.objective
             best_x = res.x
     if best_x is None:
-        return MilpSolution(INFEASIBLE, None, None, nodes, None)
+        return MilpSolution(INFEASIBLE, None, None, nodes)
     assignment = {name: float(v) for name, v in zip(model.names, best_x)}
     value = float(sign * best_obj) + model.obj_const
-    return MilpSolution(OPTIMAL, assignment, value, nodes, value)
+    return MilpSolution(OPTIMAL, assignment, value, nodes)
 
 
 # ---------------------------------------------------------------------------

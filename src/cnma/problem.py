@@ -63,9 +63,6 @@ class LinearExpr:
         )
         object.__setattr__(self, "constant", float(self.constant))
 
-    def variables(self) -> tuple[str, ...]:
-        return tuple(v for _, v in self.terms)
-
 
 def linear(*terms: tuple[float, str], constant: float = 0.0) -> LinearExpr:
     """Shorthand constructor: linear((1.0, "x"), (-2.0, "y"), constant=3)."""

@@ -162,17 +162,17 @@ def solve_lp(
 def _max_violation(A, relations, b, lower, upper, x) -> float:
     if x is None:
         return np.inf
-    worst = max(float(np.max(lower - x, initial=0.0)), float(np.max(x - upper, initial=0.0)))
-    if len(relations):
-        resid = A @ x - b
-        for i, rel in enumerate(relations):
-            if rel == "<=":
-                worst = max(worst, resid[i])
-            elif rel == ">=":
-                worst = max(worst, -resid[i])
-            else:
-                worst = max(worst, abs(resid[i]))
-    return worst
+    return max(
+        float(np.max(lower - x, initial=0.0)),
+        float(np.max(x - upper, initial=0.0)),
+        float(np.max(_row_violations(A @ x - b, relations), initial=0.0)),
+    )
+
+
+def _row_violations(resid: np.ndarray, relations) -> np.ndarray:
+    """How far each row's residual `A x - b` is on the wrong side of its relation."""
+    rel = np.asarray(relations, dtype=str)
+    return np.where(rel == "<=", resid, np.where(rel == ">=", -resid, np.abs(resid)))
 
 
 def _simplex(c, A, relations, b, lower, upper, bland_start) -> LpResult:
@@ -182,66 +182,40 @@ def _simplex(c, A, relations, b, lower, upper, bland_start) -> LpResult:
         return LpResult(OPTIMAL, x, float(c @ x), 0)
 
     # --- build working matrix [A | slacks | artificials | b] --------------
-    slack_rows = [i for i, r in enumerate(relations) if r != "="]
-    slack_col = {row: n + k for k, row in enumerate(slack_rows)}
+    rel = np.asarray(relations, dtype=str)
     resid = b - A @ lower
-
-    art_rows = []
-    for i, rel in enumerate(relations):
-        if rel == "<=" and resid[i] >= 0:
-            continue
-        if rel == ">=" and resid[i] <= 0:
-            continue
-        art_rows.append(i)
-    n_slack = len(slack_rows)
-    art_col = {row: n + n_slack + k for k, row in enumerate(art_rows)}
-    ncols = n + n_slack + len(art_rows)
+    slack_rows = np.flatnonzero(rel != "=")
+    # an artificial wherever the slack basis is infeasible
+    art_rows = np.flatnonzero(np.where(rel == "<=", resid < 0, np.where(rel == ">=", resid > 0, True)))
+    n_slack = slack_rows.size
+    slack_cols = n + np.arange(n_slack)
+    art_cols = n + n_slack + np.arange(art_rows.size)
+    ncols = n + n_slack + art_rows.size
+    geq = rel[slack_rows] == ">="
 
     W = np.zeros((m, ncols + 1))
     W[:, :n] = A
     W[:, ncols] = b
-    lo = np.full(ncols, -np.inf)
-    hi = np.full(ncols, np.inf)
-    lo[:n] = lower
-    hi[:n] = upper
-    for row, col in slack_col.items():
-        W[row, col] = 1.0
-        if relations[row] == "<=":
-            lo[col], hi[col] = 0.0, np.inf
-        else:
-            lo[col], hi[col] = -np.inf, 0.0
-    for row, col in art_col.items():
-        W[row, col] = 1.0 if resid[row] >= 0 else -1.0
-        lo[col], hi[col] = 0.0, np.inf
+    W[slack_rows, slack_cols] = 1.0
+    W[art_rows, art_cols] = np.where(resid[art_rows] >= 0, 1.0, -1.0)
+    lo = np.concatenate([lower, np.where(geq, -np.inf, 0.0), np.zeros(art_rows.size)])
+    hi = np.concatenate([upper, np.where(geq, 0.0, np.inf), np.full(art_rows.size, np.inf)])
 
     T = W.T.copy()  # a copy even where W.T is already contiguous (m == 1)
+    T[:, art_rows[resid[art_rows] < 0]] *= -1.0
     basis = np.empty(m, dtype=np.intp)
-    beta = np.empty(m)
+    basis[slack_rows] = slack_cols
+    basis[art_rows] = art_cols
+    beta = resid.copy()
+    beta[art_rows] = np.abs(resid[art_rows])
     at_upper = np.zeros(ncols, dtype=bool)
-    basic_mask = np.zeros(ncols, dtype=bool)
-    for row, col in slack_col.items():
-        if relations[row] == ">=":
-            at_upper[col] = True  # nonbasic >= slack sits at its upper bound 0
-    for i in range(m):
-        if i in art_col:
-            col = art_col[i]
-            beta[i] = abs(resid[i])
-            if W[i, col] < 0:
-                T[:, i] *= -1.0
-        else:
-            col = slack_col[i]
-            beta[i] = resid[i]
-        basis[i] = col
-        basic_mask[col] = True
+    at_upper[slack_cols[geq]] = True  # nonbasic >= slack sits at its upper bound 0
 
-    movable = (hi - lo) > 0
     max_iter = 500 + 40 * (m + n)
-
-    state = _State(T, basis, beta, at_upper, basic_mask, lo, hi, movable, m, ncols)
+    state = _State(T, basis, beta, at_upper, lo, hi)
 
     # --- phase 1 -----------------------------------------------------------
     total_iters = 0
-    art_cols = np.array(sorted(art_col.values()), dtype=np.intp)
     if art_cols.size:
         c1 = np.zeros(ncols)
         c1[art_cols] = 1.0
@@ -271,11 +245,10 @@ def _simplex(c, A, relations, b, lower, upper, bland_start) -> LpResult:
 def _finish(state: _State, W: np.ndarray, c: np.ndarray, n: int, iters: int) -> LpResult:
     """The optimal result of `state`, and its start."""
     ncols, lo, hi = state.ncols, state.lo, state.hi
-    values = np.where(state.at_upper, np.where(np.isfinite(hi), hi, 0.0), np.where(np.isfinite(lo), lo, 0.0))
+    nb_vals = _nonbasic_values(state)
+    values = nb_vals.copy()
     values[state.basis] = state.beta
     # refresh basic values from a fresh solve against the original columns
-    nb_vals = values.copy()
-    nb_vals[state.basis] = 0.0
     try:
         B = W[:, state.basis]
         exact = np.linalg.solve(B, W[:, ncols] - W[:, :ncols] @ nb_vals)
@@ -306,11 +279,8 @@ def _warm_simplex(c, lower, upper, start: LpStart) -> LpResult:
     T[start.basis, np.arange(m)] = 1.0
     lo = np.concatenate([lower, start.lo_extra])
     hi = np.concatenate([upper, start.hi_extra])
-    basic_mask = np.zeros(ncols, dtype=bool)
-    basic_mask[start.basis] = True
     # a nonbasic column pinned by the new bounds sits at them, whichever its flag
-    state = _State(T, start.basis.copy(), np.empty(m), start.at_upper.copy(),
-                   basic_mask, lo, hi, (hi - lo) > 0, m, ncols)
+    state = _State(T, start.basis.copy(), np.empty(m), start.at_upper.copy(), lo, hi)
     cvec = np.zeros(ncols)
     cvec[:n] = c
     max_iter = 500 + 40 * (m + n)
@@ -326,27 +296,32 @@ def _warm_simplex(c, lower, upper, start: LpStart) -> LpResult:
 class _State:
     __slots__ = ("T", "basis", "beta", "at_upper", "basic_mask", "cand", "lo", "hi", "movable", "m", "ncols")
 
-    def __init__(self, T, basis, beta, at_upper, basic_mask, lo, hi, movable, m, ncols):
+    def __init__(self, T, basis, beta, at_upper, lo, hi):
         self.T = T
+        self.ncols, self.m = T.shape[0] - 1, T.shape[1]
         self.basis = basis
         self.beta = beta
         self.at_upper = at_upper
-        self.basic_mask = basic_mask
-        self.cand = movable & ~basic_mask  # nonbasic columns that may enter
+        self.basic_mask = np.zeros(self.ncols, dtype=bool)
+        self.basic_mask[basis] = True
         self.lo = lo
         self.hi = hi
-        self.movable = movable
-        self.m = m
-        self.ncols = ncols
+        self.movable = (hi - lo) > 0
+        self.cand = self.movable & ~self.basic_mask  # nonbasic columns that may enter
+
+
+def _nonbasic_values(state: _State) -> np.ndarray:
+    """Each nonbasic column at its current bound (0 where that is infinite), basic ones at 0."""
+    values = np.where(state.at_upper, np.where(np.isfinite(state.hi), state.hi, 0.0),
+                      np.where(np.isfinite(state.lo), state.lo, 0.0))
+    values[state.basis] = 0.0
+    return values
 
 
 def _recompute_beta(state: _State) -> np.ndarray:
     """Basic values from the current tableau; returns the tableau row-major."""
     rows = np.ascontiguousarray(state.T.T)
-    nb_vals = np.where(state.at_upper, np.where(np.isfinite(state.hi), state.hi, 0.0),
-                       np.where(np.isfinite(state.lo), state.lo, 0.0))
-    nb_vals[state.basis] = 0.0
-    state.beta[:] = rows[:, state.ncols] - rows[:, : state.ncols] @ nb_vals
+    state.beta[:] = rows[:, state.ncols] - rows[:, : state.ncols] @ _nonbasic_values(state)
     return rows
 
 
@@ -376,10 +351,22 @@ def _pivot(state: _State, p: int, j: int) -> None:
     state.basis[p] = j
 
 
+def _step(state: _State, zrow: np.ndarray, p: int, j: int, leaves_at_upper: bool, move: float) -> None:
+    """Pivot column j into row p, after beta has taken the step.
+
+    The leaving column goes to its upper bound if `leaves_at_upper`, else
+    to its lower one; j takes the value `move` away from its own bound.
+    """
+    state.at_upper[state.basis[p]] = leaves_at_upper
+    _pivot(state, p, j)
+    zrow -= zrow[j] * state.T[: state.ncols, p]
+    zrow[j] = 0.0
+    state.beta[p] = (state.hi[j] if state.at_upper[j] else state.lo[j]) + move
+
+
 def _run_phase(state: _State, cvec: np.ndarray, max_iter: int, bland_start: bool):
     T = state.T
-    m, ncols = state.m, state.ncols
-    lo, hi = state.lo, state.hi
+    m, lo, hi = state.m, state.lo, state.hi
     state.cand = state.movable & ~state.basic_mask  # phase 2 pins the artificials
     zrow = _refresh(state, cvec)
     t_row = np.empty(m)
@@ -428,11 +415,7 @@ def _run_phase(state: _State, cvec: np.ndarray, max_iter: int, bland_start: bool
         t_star = float(t_row[p])
 
         beta += rate * t_star
-        state.at_upper[state.basis[p]] = rate[p] > 0
-        _pivot(state, p, j)
-        zrow -= zrow[j] * T[:ncols, p]
-        zrow[j] = 0.0
-        beta[p] = (hi[j] if state.at_upper[j] else lo[j]) + d * t_star
+        _step(state, zrow, p, j, rate[p] > 0, d * t_star)
 
         stall = stall + 1 if t_star <= 1e-11 else 0
         if iters % REFRESH_EVERY == 0:
@@ -477,11 +460,7 @@ def _dual_phase(state: _State, cvec: np.ndarray, max_iter: int):
         bound = lo[leaving] if rise else hi[leaving]
         t = (beta[p] - bound) / alpha[q]  # the entering column's move
         beta -= T[q] * t
-        state.at_upper[leaving] = not rise
-        _pivot(state, p, q)
-        zrow -= zrow[q] * T[:ncols, p]
-        zrow[q] = 0.0
-        beta[p] = (hi[q] if state.at_upper[q] else lo[q]) + t
+        _step(state, zrow, p, q, not rise, t)
         if iters % REFRESH_EVERY == 0:
             zrow = _refresh(state, cvec)
     return ITERATION_LIMIT, iters

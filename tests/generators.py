@@ -108,3 +108,29 @@ def assert_solver_matches_oracle(model: milp.MilpModel, tol=1e-6):
             f"objective mismatch: solve={got.objective_value} "
             f"oracle={want.objective_value}"
         )
+
+
+def audit_case(rng: np.random.Generator, m: int, satisfied: bool):
+    """Rows of all three relations, a box, integer columns and a point x.
+
+    Returns (A, relations, b, lower, upper, int_cols, x).  With `satisfied`,
+    x lies in its box, is integral on `int_cols` and is on the right side of
+    every row (an equality row exactly); otherwise residuals, box excursions
+    and fractional parts are random.
+    """
+    n = int(rng.integers(1, 7))
+    A = rng.normal(size=(m, n))
+    relations = [("<=", ">=", "=")[int(k)] for k in rng.integers(0, 3, size=m)]
+    lower = rng.uniform(-3.0, 0.0, size=n)
+    upper = lower + rng.uniform(1.0, 3.0, size=n)
+    int_cols = np.flatnonzero(rng.random(n) < 0.3)
+    if satisfied:
+        x = rng.uniform(lower, upper)
+        x[int_cols] = np.ceil(lower[int_cols])
+        slack = np.abs(rng.normal(size=m))
+        side = np.array([{"<=": 1.0, ">=": -1.0, "=": 0.0}[r] for r in relations])
+        b = A @ x + side * slack
+    else:
+        x = rng.uniform(lower - 1.0, upper + 1.0)
+        b = A @ x + rng.normal(size=m)
+    return A, relations, b, lower, upper, int_cols, x

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cnma.benchmarks import builtin_problem_path, rosenbrock_forward
+from cnma import milp
+from cnma.benchmarks import builtin_problem_names, builtin_problem_path, rosenbrock_forward
 from cnma.loop import CnmaConfig, cnma_run
 from cnma.problem import (
     BlackboxRef,
@@ -41,7 +42,6 @@ def fast_config(**overrides) -> CnmaConfig:
         epochs=40,
         batch_size=64,
         milp_node_budget=100,
-        milp_time_budget=2.0,
         pattern_probes=2,
     )
     base.update(overrides)
@@ -203,6 +203,44 @@ class TestIntegerInputs:
         assert all(v == round(v) for v in evaluated), evaluated
 
 
+class SlowClock:
+    """A stand-in for the `time` module whose clock moves 100 s per read."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self) -> float:
+        self.now += 100.0
+        return self.now
+
+
+class TestMachineIndependence:
+    def test_slow_clock_writes_the_same_trace(self, tmp_path, monkeypatch):
+        # a wall-clock MILP budget would cut every solve on this clock
+        problem = load_problem(builtin_problem_path("polak3"))
+        real_solve = milp.solve
+
+        def run(name: str):
+            solves = []
+
+            def solve(*args, **kwargs):
+                sol = real_solve(*args, **kwargs)
+                solves.append((sol.status, sol.nodes))
+                return sol
+
+            monkeypatch.setattr(milp, "solve", solve)
+            trace = recorder(problem)
+            cnma_run(problem, CnmaConfig.for_problem(problem, eval_budget=8, seed=1), trace)
+            trace.write(tmp_path / name)
+            return (tmp_path / name).read_bytes(), solves
+
+        plain = run("plain.csv")
+        monkeypatch.setattr(milp, "time", SlowClock())
+        slow = run("slow.csv")
+        assert slow[1] == plain[1]  # every full solve and probe, node for node
+        assert slow[0] == plain[0]
+
+
 class TestConfig:
     def test_problem_defaults_apply(self):
         problem = rosenbrock_problem(solver_defaults={"epochs": 77})
@@ -220,6 +258,11 @@ class TestConfig:
             CnmaConfig.for_problem(problem)
         with pytest.raises(ValueError, match="unknown solver option"):
             CnmaConfig.for_problem(rosenbrock_problem(), turbo=True)
+
+    @pytest.mark.parametrize("name", builtin_problem_names())
+    def test_shipped_problem_options_are_known(self, name):
+        problem = load_problem(builtin_problem_path(name))
+        assert CnmaConfig.for_problem(problem).milp_node_budget > 0
 
     def test_none_override_keeps_default(self):
         cfg = CnmaConfig.for_problem(rosenbrock_problem(), objective_target=None)

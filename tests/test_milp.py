@@ -23,6 +23,7 @@ from cnma.problem import LinearConstraint, VariableSpec, linear, load_problem
 
 from generators import (
     assert_solver_matches_oracle,
+    audit_case,
     encoding_deviation,
     fix_inputs,
     net_box,
@@ -349,6 +350,44 @@ class TestSolve:
         label = f"constraint {len(model.relations)}"
         with pytest.raises(MilpModelError, match=f"{label} references unknown variable 'x9'"):
             conjoin(model, [LinearConstraint(linear((1.0, "x9")), "<=", 1.0)])
+
+
+def check_assignment_reference(model, x) -> float:
+    """The per-row loop `milp._check_assignment` must match exactly."""
+    worst = 0.0
+    if len(model.relations):
+        resid = model.A @ x - model.b
+        scale = np.maximum(1.0, np.abs(model.b))
+        for i, rel in enumerate(model.relations):
+            if rel == "<=":
+                worst = max(worst, resid[i] / scale[i])
+            elif rel == ">=":
+                worst = max(worst, -resid[i] / scale[i])
+            else:
+                worst = max(worst, abs(resid[i]) / scale[i])
+    worst = max(worst, float(np.max(model.lower - x, initial=0.0)))
+    worst = max(worst, float(np.max(x - model.upper, initial=0.0)))
+    if model.int_cols.size:
+        xi = x[model.int_cols]
+        worst = max(worst, float(np.max(np.abs(xi - np.round(xi)), initial=0.0)))
+    return worst
+
+
+@pytest.mark.parametrize("satisfied", [True, False])
+def test_check_assignment_matches_the_row_loop(satisfied):
+    rng = np.random.default_rng(6)
+    worst = []
+    for m in [0, 0, *rng.integers(1, 12, size=60)]:
+        A, rel, b, lo, hi, int_cols, x = audit_case(rng, int(m), satisfied)
+        n = x.size
+        model = milp.MilpModel(
+            names=[f"v{j}" for j in range(n)], lower=lo, upper=hi, int_cols=int_cols,
+            A=A, relations=rel, b=b, c=np.zeros(n),
+        )
+        got = milp._check_assignment(model, x)
+        assert got == check_assignment_reference(model, x)
+        worst.append(got)
+    assert (max(worst) == 0.0) == satisfied
 
 
 class TestBruteForceOracle:

@@ -12,7 +12,7 @@ from cnma.mlp import init_network
 from cnma.problem import linear, load_problem
 
 import dense_simplex
-from generators import net_box, random_net
+from generators import audit_case, net_box, random_net
 from rational_lp import solve_rational_lp, OPTIMAL as R_OPT, INFEASIBLE as R_INF
 
 
@@ -70,6 +70,38 @@ def test_solution_vector_is_feasible_and_attains_objective():
             else:
                 assert abs(resid[i]) <= 1e-7
         assert got.objective == pytest.approx(float(c @ x), abs=1e-9)
+
+
+def max_violation_reference(A, relations, b, lower, upper, x) -> float:
+    """The per-row loop `simplex._max_violation` must match exactly."""
+    if x is None:
+        return np.inf
+    worst = max(float(np.max(lower - x, initial=0.0)), float(np.max(x - upper, initial=0.0)))
+    if len(relations):
+        resid = A @ x - b
+        for i, rel in enumerate(relations):
+            if rel == "<=":
+                worst = max(worst, resid[i])
+            elif rel == ">=":
+                worst = max(worst, -resid[i])
+            else:
+                worst = max(worst, abs(resid[i]))
+    return worst
+
+
+@pytest.mark.parametrize("satisfied", [True, False])
+def test_max_violation_matches_the_row_loop(satisfied):
+    # the dense kernel imports the same `_max_violation`, so only this
+    # reference can catch a wrong audit
+    rng = np.random.default_rng(5)
+    worst = []
+    for m in [0, 0, *rng.integers(1, 12, size=60)]:
+        A, rel, b, lo, hi, _, x = audit_case(rng, int(m), satisfied)
+        got = simplex._max_violation(A, rel, b, lo, hi, x)
+        assert got == max_violation_reference(A, rel, b, lo, hi, x)
+        worst.append(got)
+    assert (max(worst) == 0.0) == satisfied
+    assert simplex._max_violation(A, rel, b, lo, hi, None) == np.inf
 
 
 def test_no_rows_picks_bound_by_sign():
