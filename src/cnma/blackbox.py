@@ -100,8 +100,12 @@ def resolve_timeout(requested: float) -> float:
     return requested
 
 
-def _worker_main(conn, builtin_id: str, params: dict) -> None:
+def _worker_main(conn, parent_end, builtin_id: str, params: dict) -> None:
     from .benchmarks import get_builtin
+
+    # without this, the pipe would stay open here and never reach end of
+    # file, and the worker would outlive a parent that died without closing
+    parent_end.close()
 
     try:
         fn = get_builtin(builtin_id).fn
@@ -149,7 +153,7 @@ class _BuiltinBackend:
         parent, child = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child, self._ref.target, dict(self._ref.params)),
+            args=(child, parent, self._ref.target, dict(self._ref.params)),
             daemon=True,
         )
         proc.start()

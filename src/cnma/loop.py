@@ -11,12 +11,25 @@ considers feasible.  The proposal is evaluated on the real blackbox:
 * MILP infeasible -> the surrogate contradicts P everywhere; add random
   samples to diversify the dataset
 
+The full branch and bound and the activation-region probes of an iteration
+do not depend on each other, so they run side by side: one helper process,
+forked when the run starts, solves probes while this process runs the full
+solve, which then helps with the probes that are left.  The solutions are
+used in the order the probes were built.  If the helper is gone, or was not
+forked because `fork` is unavailable or this process runs other threads
+(such as a BLAS thread pool), this process solves every probe itself with
+the same function, so the proposals are the same either way.
+
 Every blackbox call, including timeouts and initialization, counts against
 the evaluation budget.  Identical (problem, config, seed) produce identical
 runs.
 """
 from __future__ import annotations
 
+import mmap
+import multiprocessing as mp
+import os
+import signal
 from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
@@ -93,14 +106,166 @@ class CnmaResult:
     n_samples: int
 
 
+PROBE_NODES = 8  # branch-and-bound node budget of one activation-region probe
+
+
+def _solve_probe(probe: milp.MilpModel) -> milp.MilpSolution | None:
+    """`milp.solve` of one probe; None where its LPs failed numerically."""
+    try:
+        return milp.solve(probe, node_budget=PROBE_NODES)
+    except LpNumericalError:
+        return None
+
+
+def _helper_main(conn, parent_end, ends) -> None:
+    """Solve probe batches from `conn` until a None message or end of file.
+
+    Each batch is taken from the front while `ends[0] < ends[1]`; the
+    parent takes it from the back.  The reply maps index to solution.
+    """
+    # without this, the pipe would stay open here and never reach end of file
+    parent_end.close()
+    # Ctrl-C reaches the whole process group; the parent stops the helper
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            probes = conn.recv()
+        except (EOFError, OSError):
+            return
+        if probes is None:
+            return
+        solved = {}
+        try:
+            while (i := ends[0]) < ends[1]:
+                ends[0] = i + 1
+                solved[i] = _solve_probe(probes[i])
+            reply = (True, solved)
+        except Exception as exc:
+            reply = (False, exc)
+        try:
+            conn.send(reply)
+        except OSError:  # the parent is gone
+            return
+
+
+def _single_threaded() -> bool:
+    """True when this process runs one thread (read from /proc, else False).
+
+    Only then is the helper forked: fork is unsafe in a threaded process,
+    and beside a BLAS thread pool here the helper's own pool would compete
+    for the same cores (numpy's OpenBLAS starts one at import unless
+    OPENBLAS_NUM_THREADS=1).
+    """
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _fork_helper():
+    """Start the probe helper: (process, connection, shared batch ends), or
+    None where `fork` is unavailable."""
+    try:
+        ctx = mp.get_context("fork")
+    except ValueError:  # pragma: no cover - non-posix platforms
+        return None
+    ends = memoryview(mmap.mmap(-1, 16)).cast("q")  # shared with the fork
+    parent, child = ctx.Pipe()
+    proc = ctx.Process(target=_helper_main, args=(child, parent, ends), daemon=True)
+    try:
+        proc.start()
+    except OSError:
+        parent.close()
+        return None
+    finally:
+        child.close()
+    return proc, parent, ends
+
+
+class _ProbeHelper:
+    """Solves one batch of probes at a time beside the caller's own work.
+
+    `submit` hands a batch to the helper process and returns at once.  The
+    helper works through it from the front; `collect` works through it from
+    the back until the two meet, then returns every solution in submission
+    order.  A probe both sides take is solved twice to the same result, and
+    one that nobody solved (the helper died, or never ran) is solved in
+    `collect`, so the solutions never depend on which process computed them.
+    """
+
+    def __init__(self, helper=None):
+        self._proc, self._conn, self._ends = helper or (None, None, None)
+        self._batch: list[milp.MilpModel] = []
+        self._sent = False
+
+    def submit(self, probes: list[milp.MilpModel]) -> None:
+        self._batch = probes
+        if not probes or self._conn is None:
+            return
+        self._ends[0], self._ends[1] = 0, len(probes)
+        try:
+            self._conn.send(probes)
+        except OSError:  # the helper is gone
+            self.close()
+        else:
+            self._sent = True
+
+    def collect(self) -> list[milp.MilpSolution | None]:
+        probes, self._batch = self._batch, []
+        solved: dict[int, milp.MilpSolution | None] = {}
+        if self._sent:
+            ends = self._ends
+            while (j := ends[1] - 1) >= ends[0]:
+                ends[1] = j
+                solved[j] = _solve_probe(probes[j])
+            try:
+                ok, payload = self._conn.recv()
+            except (EOFError, OSError):  # the helper died on this batch
+                self.close()
+            else:
+                self._sent = False
+                if not ok:
+                    raise payload
+                solved.update(payload)
+        return [solved[i] if i in solved else _solve_probe(p) for i, p in enumerate(probes)]
+
+    def close(self) -> None:
+        """Stop the helper process; later batches are solved in this process."""
+        proc, conn = self._proc, self._conn
+        self._proc = self._conn = None
+        if proc is None:
+            return
+        if self._sent:
+            proc.kill()  # busy on a batch that nobody will read
+        else:
+            try:
+                conn.send(None)
+            except OSError:
+                pass
+        self._sent = False
+        proc.join(timeout=1.0)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+        conn.close()
+
+
 class _Run(Session):
     """A session that keeps its ok samples: they are the training data."""
 
     def __init__(self, problem: ProblemSpec, config: CnmaConfig, trace: TraceRecorder | None):
-        super().__init__(
-            problem, "cnma", config.eval_budget, config.seed,
-            config.objective_target, trace,
-        )
+        # fork before the harness exists, so that the helper holds none of
+        # its pipes and no blackbox child waits on the helper to exit
+        forked = config.pattern_probes > 0 and _single_threaded()
+        self.probes = _ProbeHelper(_fork_helper() if forked else None)
+        try:
+            super().__init__(
+                problem, "cnma", config.eval_budget, config.seed,
+                config.objective_target, trace,
+            )
+        except BaseException:
+            self.probes.close()
+            raise
         self.config = config
         self.samples: list[Sample] = []
 
@@ -145,6 +310,7 @@ def cnma_run(
     except BudgetExhausted:
         stop_reason = "eval_budget"
     finally:
+        run.probes.close()
         run.harness.close()
     if run.target_hit:
         stop_reason = "objective_target"
@@ -198,9 +364,27 @@ def _propose(run: _Run, net, model) -> tuple[str, dict | None]:
     Returns (milp_status, assignment or None).  The full solve may stop at
     its budget without an integral point; probing the regions of good known
     samples then supplies candidates the branch and bound could not reach,
-    each via a single restricted solve.
+    each via a single restricted solve.  The probes are built here and
+    handed to `run.probes` before the full solve, so the helper process
+    solves them meanwhile; their solutions come back in the order the
+    probes were built, so the candidates are the same wherever the probes
+    ran.
     """
     config, sign = run.config, run.sign
+    probes: list[milp.MilpModel] = []
+    if config.pattern_probes > 0:
+        seen: set[bytes] = set()
+        for i in _probe_indices(run):
+            probe = milp.restrict_binaries(
+                model, milp.activation_pattern(net, run.samples[i].x)
+            )
+            # probes differ only in the indicators they pin, where lower == upper
+            key = probe.lower.tobytes()
+            if key not in seen:
+                seen.add(key)
+                probes.append(probe)
+    run.probes.submit(probes)
+
     candidates: list[tuple[float, dict]] = []
     full_status = None
     try:
@@ -211,23 +395,9 @@ def _propose(run: _Run, net, model) -> tuple[str, dict | None]:
     except LpNumericalError:
         full_status = "numerical_failed"
 
-    if config.pattern_probes > 0:
-        seen: set[bytes] = set()
-        for i in _probe_indices(run):
-            probe = milp.restrict_binaries(
-                model, milp.activation_pattern(net, run.samples[i].x)
-            )
-            # probes differ only in the indicators they pin, where lower == upper
-            key = probe.lower.tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            try:
-                sol = milp.solve(probe, node_budget=8)
-            except LpNumericalError:
-                continue
-            if sol.status == milp.OPTIMAL and sol.assignment is not None:
-                candidates.append((sign * sol.objective_value, sol.assignment))
+    for sol in run.probes.collect():
+        if sol is not None and sol.status == milp.OPTIMAL and sol.assignment is not None:
+            candidates.append((sign * sol.objective_value, sol.assignment))
 
     if not candidates:
         return full_status or "infeasible", None

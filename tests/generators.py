@@ -8,8 +8,9 @@ import dataclasses
 import numpy as np
 
 from cnma import milp
+from cnma.benchmarks import builtin_problem_path
 from cnma.mlp import MlpSurrogate, forward, init_network
-from cnma.problem import LinearConstraint, LinearExpr, VariableSpec, linear
+from cnma.problem import LinearConstraint, LinearExpr, VariableSpec, linear, load_problem
 
 
 def random_net(rng: np.random.Generator, n_in=None, n_out=None) -> MlpSurrogate:
@@ -35,6 +36,18 @@ def net_box(net: MlpSurrogate, half_width=2.0):
     ]
     outputs = [VariableSpec(f"y{k}", -1e6, 1e6) for k in range(net.n_outputs)]
     return inputs, outputs
+
+
+def polak3_sized_model():
+    """12 -> 35 -> 10 net on the polak3 constraints: the size the loop solves."""
+    problem = load_problem(builtin_problem_path("polak3"))
+    net = init_network((12, 35, 10), seed=3)
+    net.input_scale = np.full(12, 0.6)
+    net.output_shift = np.full(10, 20.0)
+    net.output_scale = np.full(10, 40.0)
+    model = milp.assemble_problem_milp(problem, net)
+    assert model.int_cols.size >= 20
+    return net, model
 
 
 def fix_inputs(model: milp.MilpModel, values: dict) -> milp.MilpModel:

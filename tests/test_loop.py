@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cnma import milp
+from cnma import loop, milp
 from cnma.benchmarks import builtin_problem_names, builtin_problem_path, rosenbrock_forward
 from cnma.loop import CnmaConfig, cnma_run
 from cnma.problem import (
@@ -219,6 +219,8 @@ class TestMachineIndependence:
         # a wall-clock MILP budget would cut every solve on this clock
         problem = load_problem(builtin_problem_path("polak3"))
         real_solve = milp.solve
+        # no probe helper: every probe is solved here, where `solve` sees it
+        monkeypatch.setattr(loop, "_fork_helper", lambda: None)
 
         def run(name: str):
             solves = []

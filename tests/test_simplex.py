@@ -7,12 +7,10 @@ import numpy as np
 import pytest
 
 from cnma import milp, simplex
-from cnma.benchmarks import builtin_problem_path
-from cnma.mlp import init_network
-from cnma.problem import linear, load_problem
+from cnma.problem import linear
 
 import dense_simplex
-from generators import audit_case, net_box, random_net
+from generators import audit_case, net_box, polak3_sized_model, random_net
 from rational_lp import solve_rational_lp, OPTIMAL as R_OPT, INFEASIBLE as R_INF
 
 
@@ -235,18 +233,6 @@ def random_surrogate_calls(monkeypatch):
         probes = rng.uniform(-2.0, 2.0, size=(3, net.n_inputs))
         calls += surrogate_lps(monkeypatch, net, model, 200, probes)
     return calls
-
-
-def polak3_sized_model():
-    """12 -> 35 -> 10 net on the polak3 constraints: the size the loop solves."""
-    problem = load_problem(builtin_problem_path("polak3"))
-    net = init_network((12, 35, 10), seed=3)
-    net.input_scale = np.full(12, 0.6)
-    net.output_shift = np.full(10, 20.0)
-    net.output_scale = np.full(10, 40.0)
-    model = milp.assemble_problem_milp(problem, net)
-    assert model.int_cols.size >= 20
-    return net, model
 
 
 def polak3_sized_calls(monkeypatch):
