@@ -26,11 +26,13 @@ runs.
 """
 from __future__ import annotations
 
+import math
 import mmap
 import multiprocessing as mp
 import os
 import signal
 from dataclasses import dataclass, fields as dataclass_fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -64,6 +66,22 @@ class CnmaConfig:
 
     def __post_init__(self):
         self.net_hidden = tuple(int(h) for h in self.net_hidden)
+        if any(h < 1 for h in self.net_hidden):
+            raise ValueError(
+                f"solver option 'net_hidden' needs widths >= 1, got {list(self.net_hidden)}"
+            )
+        for name, least in (("batch_size", 1), ("epochs", 1), ("milp_node_budget", 1),
+                            ("pattern_probes", 0), ("n_initial", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or value < least:
+                raise ValueError(
+                    f"solver option '{name}' must be an integer >= {least}, got {value!r}"
+                )
+        step = self.step_size
+        if not (isinstance(step, Real) and math.isfinite(step) and step > 0):
+            raise ValueError(
+                f"solver option 'step_size' must be finite and positive, got {step!r}"
+            )
 
     @classmethod
     def for_problem(cls, problem: ProblemSpec, **overrides) -> "CnmaConfig":

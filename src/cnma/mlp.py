@@ -4,6 +4,15 @@ Networks store per-coordinate normalization (shift/scale) for both inputs and
 outputs; training happens in normalized space and `forward` maps raw inputs to
 raw outputs.  Trained networks are treated as immutable: `fit` returns a new
 network and never mutates its argument.
+
+`fit` copies the argument's weights and biases into one flat float64 vector,
+and the trained network's arrays are reshaped views of it.  The gradient and
+the two Adam moments are flat vectors of the same layout, so one Adam update
+is 13 whole-vector ufunc calls written into preallocated buffers.  Each
+element still sees the same operations in the same order as a per-array
+update, so the layout does not change a single bit of the result.  There is
+one gradient function: `fit` has it write into views of the flat gradient,
+and `loss_gradient` has it allocate.
 """
 from __future__ import annotations
 
@@ -164,11 +173,19 @@ def fit(
             f"dataset shape ({data.x.shape[1]} -> {data.y.shape[1]}) does not "
             f"match network ({net.n_inputs} -> {net.n_outputs})"
         )
-    out = net.copy()
-    out.input_shift = data.x.mean(axis=0)
-    out.input_scale = np.maximum(data.x.std(axis=0), SCALE_FLOOR)
-    out.output_shift = data.y.mean(axis=0)
-    out.output_scale = np.maximum(data.y.std(axis=0), SCALE_FLOOR)
+    params = np.concatenate([p.ravel() for p in net.weights + net.biases])
+    grads = np.empty_like(params)
+    weights, biases = _views(params, net)
+    out = MlpSurrogate(
+        net.layer_sizes,
+        weights,
+        biases,
+        input_shift=data.x.mean(axis=0),
+        input_scale=np.maximum(data.x.std(axis=0), SCALE_FLOOR),
+        output_shift=data.y.mean(axis=0),
+        output_scale=np.maximum(data.y.std(axis=0), SCALE_FLOOR),
+    )
+    grads_into = _views(grads, net)
 
     xn = (data.x - out.input_shift) / out.input_scale
     yn = (data.y - out.output_shift) / out.output_scale
@@ -176,36 +193,46 @@ def fit(
     batch = min(int(batch_size), n)
     rng = np.random.default_rng(seed)
 
-    params = out.weights + out.biases
-    m_state = [np.zeros_like(p) for p in params]
-    v_state = [np.zeros_like(p) for p in params]
+    m_state = np.zeros_like(params)
+    v_state = np.zeros_like(params)
+    tmp = np.empty_like(params)
+    den = np.empty_like(params)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     t = 0
 
-    def adam_step(grads: list[np.ndarray]):
+    def adam_step(xb: np.ndarray, yb: np.ndarray):
+        # Elementwise the same operations, in the same order, as
+        #   m = m*b1 + (1-b1)*g;  v = v*b2 + (1-b2)*g*g
+        #   p -= step * (m/c1) / (sqrt(v/c2) + eps)
+        # so the trained bits do not depend on the flat layout.
         nonlocal t
+        _loss_gradient_normalized(out, xb, yb, into=grads_into)
         t += 1
         c1 = 1.0 - beta1**t
         c2 = 1.0 - beta2**t
-        for p, g, ms, vs in zip(params, grads, m_state, v_state):
-            ms *= beta1
-            ms += (1.0 - beta1) * g
-            vs *= beta2
-            vs += (1.0 - beta2) * g * g
-            p -= step_size * (ms / c1) / (np.sqrt(vs / c2) + eps)
-
-    def grads_on(xb: np.ndarray, yb: np.ndarray) -> list[np.ndarray]:
-        gw, gb = _loss_gradient_normalized(out, xb, yb)
-        return gw + gb
+        np.multiply(m_state, beta1, out=m_state)
+        np.multiply(grads, 1.0 - beta1, out=tmp)
+        np.add(m_state, tmp, out=m_state)
+        np.multiply(v_state, beta2, out=v_state)
+        np.multiply(grads, 1.0 - beta2, out=tmp)
+        np.multiply(tmp, grads, out=tmp)
+        np.add(v_state, tmp, out=v_state)
+        np.divide(m_state, c1, out=tmp)
+        np.multiply(tmp, step_size, out=tmp)
+        np.divide(v_state, c2, out=den)
+        np.sqrt(den, out=den)
+        np.add(den, eps, out=den)
+        np.divide(tmp, den, out=tmp)
+        np.subtract(params, tmp, out=params)
 
     for epoch in range(int(epochs)):
         if batch >= n:
-            adam_step(grads_on(xn, yn))
+            adam_step(xn, yn)
         else:
             order = rng.permutation(n)
             for start in range(0, n, batch):
                 idx = order[start : start + batch]
-                adam_step(grads_on(xn[idx], yn[idx]))
+                adam_step(xn[idx], yn[idx])
 
     final = float(np.mean((_forward_normalized(out, xn) - yn) ** 2))
     if not np.isfinite(final):
@@ -216,10 +243,29 @@ def fit(
     return out, final
 
 
-def _loss_gradient_normalized(
-    net: MlpSurrogate, xn: np.ndarray, yn: np.ndarray
+def _views(
+    flat: np.ndarray, net: MlpSurrogate
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    # same as loss_gradient but on already-normalized batches (training path)
+    """Consecutive views of `flat` shaped like net's weights, then its biases."""
+    arrays = net.weights + net.biases
+    ends = np.cumsum([p.size for p in arrays])[:-1]
+    views = [part.reshape(p.shape) for part, p in zip(np.split(flat, ends), arrays)]
+    k = len(net.weights)
+    return views[:k], views[k:]
+
+
+def _loss_gradient_normalized(
+    net: MlpSurrogate,
+    xn: np.ndarray,
+    yn: np.ndarray,
+    into: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """`loss_gradient` on already-normalized batches.
+
+    With `into` = (weight grads, bias grads) the gradients are written into
+    those arrays, which `fit` makes views of its flat gradient vector;
+    without it they are freshly allocated.
+    """
     n, m = yn.shape
     activations = [xn]
     a = xn
@@ -229,11 +275,12 @@ def _loss_gradient_normalized(
         a = np.maximum(z, 0.0) if i < last else z
         activations.append(a)
     delta = 2.0 * (activations[-1] - yn) / (n * m)
-    grads_w: list[np.ndarray] = [None] * len(net.weights)
-    grads_b: list[np.ndarray] = [None] * len(net.biases)
+    if into is None:
+        into = ([None] * len(net.weights), [None] * len(net.biases))
+    grads_w, grads_b = into
     for i in range(last, -1, -1):
-        grads_w[i] = delta.T @ activations[i]
-        grads_b[i] = delta.sum(axis=0)
+        grads_w[i] = np.matmul(delta.T, activations[i], out=grads_w[i])
+        grads_b[i] = np.sum(delta, axis=0, out=grads_b[i])
         if i > 0:
             delta = (delta @ net.weights[i]) * (activations[i] > 0.0)
     return grads_w, grads_b

@@ -196,6 +196,26 @@ class TestRunUsageErrors:
         assert code == 2
         assert "turbo" in err
 
+    @pytest.mark.parametrize("option", [
+        {"batch_size": 0}, {"epochs": -5}, {"net_hidden": [0]}])
+    def test_bad_config_value_exits_before_any_call(self, tmp_path, capsys,
+                                                    monkeypatch, option):
+        def no_calls(*args, **kwargs):
+            raise AssertionError("blackbox called")
+
+        monkeypatch.setattr("cnma.blackbox.EvalHarness.evaluate", no_calls)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(option))
+        trace = tmp_path / "t.csv"
+        code, _, err = run_cli(
+            capsys, "run", "--problem", "rosenbrock", "--solver", "cnma",
+            "--budget", "5", "--seed", "1", "--config", str(bad),
+            "--trace", str(trace),
+        )
+        assert code == 2
+        assert next(iter(option)) in err
+        assert not trace.exists()
+
 
 class TestReport:
     def make_trace(self, capsys, tmp_path, solver, seed, budget=10,

@@ -266,6 +266,21 @@ class TestConfig:
         problem = load_problem(builtin_problem_path(name))
         assert CnmaConfig.for_problem(problem).milp_node_budget > 0
 
+    @pytest.mark.parametrize("name,value", [
+        ("batch_size", 0), ("epochs", 0), ("epochs", -5), ("epochs", 2.5),
+        ("milp_node_budget", 0), ("pattern_probes", -1), ("n_initial", -1),
+        ("step_size", 0.0), ("step_size", -1e-3), ("step_size", float("nan")),
+        ("step_size", float("inf")), ("step_size", "0.001"), ("net_hidden", [8, 0]),
+    ])
+    def test_out_of_range_option_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            CnmaConfig.for_problem(rosenbrock_problem(), **{name: value})
+
+    def test_smallest_allowed_options_accepted(self):
+        cfg = CnmaConfig(batch_size=1, epochs=1, milp_node_budget=1,
+                         pattern_probes=0, n_initial=0, step_size=1e-12)
+        assert (cfg.batch_size, cfg.epochs, cfg.n_initial) == (1, 1, 0)
+
     def test_none_override_keeps_default(self):
         cfg = CnmaConfig.for_problem(rosenbrock_problem(), objective_target=None)
         assert cfg.objective_target is None

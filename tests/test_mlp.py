@@ -12,6 +12,8 @@ from cnma.mlp import (
     training_loss,
 )
 
+import reference_adam
+
 
 def relu_identity_net():
     """Hand-set 1-1-1 net computing max(0, x) with identity normalization."""
@@ -132,6 +134,50 @@ class TestFit:
         with pytest.raises(TrainingDivergedError, match="epochs"):
             fit(init_network((1, 4, 1), seed=0), data, epochs=5,
                 step_size=float("nan"))
+
+    def test_trained_net_owns_its_arrays(self):
+        base = init_network((2, 5, 3, 1), seed=1)
+        rng = np.random.default_rng(1)
+        data = Dataset(rng.uniform(-1, 1, (9, 2)), rng.normal(size=(9, 1)))
+        first, _ = fit(base, data, epochs=3)
+        second, _ = fit(base, data, epochs=3)
+        copied = first.copy()
+        for arr in net_arrays(first):
+            for other in net_arrays(base) + net_arrays(second) + net_arrays(copied):
+                assert not np.shares_memory(arr, other)
+
+
+def net_arrays(net):
+    return net.weights + net.biases + [
+        net.input_shift, net.input_scale, net.output_shift, net.output_scale]
+
+
+# (layer sizes, samples, batch size, epochs): the polak3 and band surrogate
+# shapes on the full-batch path, and a two-hidden-layer net on the minibatch
+# path with a ragged last batch (70 = 4 * 16 + 6).
+REFERENCE_CASES = [
+    ((12, 35, 10), 40, 1024, 150),
+    ((12, 35, 10), 300, 1024, 60),
+    ((4, 16, 1), 50, 256, 300),
+    ((3, 8, 6, 2), 70, 16, 25),
+]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("sizes,n,batch,epochs", REFERENCE_CASES)
+def test_fit_matches_per_array_reference_bit_for_bit(sizes, n, batch, epochs, seed):
+    rng = np.random.default_rng(100 + seed)
+    x = rng.uniform(-3, 3, size=(n, sizes[0]))
+    y = np.sin(x @ rng.normal(size=(sizes[0], sizes[-1]))) + 0.1 * rng.normal(
+        size=(n, sizes[-1]))
+    data = Dataset(x, y)
+    kw = dict(epochs=epochs, batch_size=batch, seed=seed)
+    got, loss = fit(init_network(sizes, seed), data, **kw)
+    want, want_loss = reference_adam.fit(init_network(sizes, seed), data, **kw)
+    assert loss == want_loss
+    for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 class TestDataset:
