@@ -116,20 +116,6 @@ def check_constraints(
     return all(constraint_violation(c, assignment) <= tol for c in constraints)
 
 
-def expand_abs_band(
-    a: str, b: str, epsilon: float
-) -> tuple[LinearConstraint, LinearConstraint]:
-    """Rewrite |a - b| <= epsilon * a into two linear constraints.
-
-    Valid for a >= 0: (1-eps)*a - b <= 0 and b - (1+eps)*a <= 0.
-    """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    lo = LinearConstraint(linear((1.0 - epsilon, a), (-1.0, b)), "<=", 0.0)
-    hi = LinearConstraint(linear((1.0, b), (-(1.0 + epsilon), a)), "<=", 0.0)
-    return lo, hi
-
-
 @dataclass(frozen=True)
 class BlackboxRef:
     """Reference to an evaluator: a registered builtin or a subprocess command.
@@ -238,13 +224,6 @@ def _expr_from_dict(data: Mapping) -> LinearExpr:
     return LinearExpr(terms, float(data.get("constant", 0.0)))
 
 
-def _expr_to_dict(expr: LinearExpr) -> dict:
-    out: dict = {"terms": [[c, v] for c, v in expr.terms]}
-    if expr.constant:
-        out["constant"] = expr.constant
-    return out
-
-
 def parse_problem(data: Mapping) -> ProblemSpec:
     try:
         inputs = [
@@ -293,38 +272,6 @@ def parse_problem(data: Mapping) -> ProblemSpec:
     except (KeyError, TypeError, ValueError) as exc:
         raise ProblemFormatError(f"malformed problem document: {exc}") from exc
     return require_valid(spec)
-
-
-def problem_to_dict(spec: ProblemSpec) -> dict:
-    bb_key = "id" if spec.blackbox.kind == "builtin" else "command"
-    bb: dict = {"kind": spec.blackbox.kind, bb_key: spec.blackbox.target}
-    if spec.blackbox.params:
-        bb["params"] = dict(spec.blackbox.params)
-    out: dict = {
-        "name": spec.name,
-        "inputs": [
-            {"name": v.name, "lower": v.lower, "upper": v.upper, "kind": v.kind}
-            for v in spec.inputs
-        ],
-        "outputs": [
-            {"name": v.name, "lower": v.lower, "upper": v.upper, "kind": v.kind}
-            for v in spec.outputs
-        ],
-        "constraints": [
-            {"terms": [[c, v] for c, v in cons.expr.terms],
-             "constant": cons.expr.constant,
-             "relation": cons.relation,
-             "rhs": cons.rhs}
-            for cons in spec.constraints
-        ],
-        "objective": _expr_to_dict(spec.objective),
-        "sense": spec.sense,
-        "blackbox": bb,
-        "eval_timeout": spec.eval_timeout,
-    }
-    if spec.solver_defaults:
-        out["cnma"] = dict(spec.solver_defaults)
-    return out
 
 
 def load_problem(path: str | Path) -> ProblemSpec:

@@ -10,7 +10,7 @@ import numpy as np
 from cnma import milp
 from cnma.benchmarks import builtin_problem_path
 from cnma.mlp import MlpSurrogate, forward, init_network
-from cnma.problem import LinearConstraint, LinearExpr, VariableSpec, linear, load_problem
+from cnma.problem import LinearConstraint, LinearExpr, ProblemSpec, VariableSpec, linear, load_problem
 
 
 def random_net(rng: np.random.Generator, n_in=None, n_out=None) -> MlpSurrogate:
@@ -147,3 +147,61 @@ def audit_case(rng: np.random.Generator, m: int, satisfied: bool):
         x = rng.uniform(lower - 1.0, upper + 1.0)
         b = A @ x + rng.normal(size=m)
     return A, relations, b, lower, upper, int_cols, x
+
+
+# ---------------------------------------------------------------------------
+# Problem-model helpers that only the tests use
+
+
+def expand_abs_band(
+    a: str, b: str, epsilon: float
+) -> tuple[LinearConstraint, LinearConstraint]:
+    """Rewrite |a - b| <= epsilon * a into two linear constraints.
+
+    Valid for a >= 0: (1-eps)*a - b <= 0 and b - (1+eps)*a <= 0.
+    """
+    if epsilon < 0:
+        raise ValueError("epsilon must be nonnegative")
+    lo = LinearConstraint(linear((1.0 - epsilon, a), (-1.0, b)), "<=", 0.0)
+    hi = LinearConstraint(linear((1.0, b), (-(1.0 + epsilon), a)), "<=", 0.0)
+    return lo, hi
+
+
+def _expr_to_dict(expr: LinearExpr) -> dict:
+    out: dict = {"terms": [[c, v] for c, v in expr.terms]}
+    if expr.constant:
+        out["constant"] = expr.constant
+    return out
+
+
+def problem_to_dict(spec: ProblemSpec) -> dict:
+    """The problem document that `cnma.problem.parse_problem` reads back as `spec`."""
+    bb_key = "id" if spec.blackbox.kind == "builtin" else "command"
+    bb: dict = {"kind": spec.blackbox.kind, bb_key: spec.blackbox.target}
+    if spec.blackbox.params:
+        bb["params"] = dict(spec.blackbox.params)
+    out: dict = {
+        "name": spec.name,
+        "inputs": [
+            {"name": v.name, "lower": v.lower, "upper": v.upper, "kind": v.kind}
+            for v in spec.inputs
+        ],
+        "outputs": [
+            {"name": v.name, "lower": v.lower, "upper": v.upper, "kind": v.kind}
+            for v in spec.outputs
+        ],
+        "constraints": [
+            {"terms": [[c, v] for c, v in cons.expr.terms],
+             "constant": cons.expr.constant,
+             "relation": cons.relation,
+             "rhs": cons.rhs}
+            for cons in spec.constraints
+        ],
+        "objective": _expr_to_dict(spec.objective),
+        "sense": spec.sense,
+        "blackbox": bb,
+        "eval_timeout": spec.eval_timeout,
+    }
+    if spec.solver_defaults:
+        out["cnma"] = dict(spec.solver_defaults)
+    return out

@@ -15,12 +15,12 @@ from cnma.problem import (
     check_constraints,
     constraint_violation,
     evaluate_linear,
-    expand_abs_band,
     linear,
     parse_problem,
-    problem_to_dict,
     validate,
 )
+
+from generators import expand_abs_band, problem_to_dict
 
 
 def tiny_problem(**overrides) -> ProblemSpec:

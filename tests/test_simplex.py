@@ -1,6 +1,6 @@
-"""LP core tests against the exact rational reference in rational_lp.py and
-the frozen dense kernel in dense_simplex.py, and warm starts against cold
-solves."""
+"""LP core tests against the exact rational reference in rational_lp.py, the
+frozen dense kernel in dense_simplex.py and the frozen solver in
+reference_simplex.py, and warm starts against cold solves."""
 import dataclasses
 
 import numpy as np
@@ -10,6 +10,7 @@ from cnma import milp, simplex
 from cnma.problem import linear
 
 import dense_simplex
+import reference_simplex
 from generators import audit_case, net_box, polak3_sized_model, random_net
 from rational_lp import solve_rational_lp, OPTIMAL as R_OPT, INFEASIBLE as R_INF
 
@@ -280,6 +281,63 @@ def test_bit_identical_to_dense_kernel_on_encoded_surrogates(surrogate_calls):
 
 def test_bit_identical_to_dense_kernel_on_polak3_sized_surrogate(surrogate_calls):
     assert_recorded_lps_identical(surrogate_calls["polak3"])
+
+
+# ---------------------------------------------------------------------------
+# Bit-for-bit agreement with the frozen solver in reference_simplex.py, which
+# has the warm path too
+
+
+def assert_same_as_reference(got, want):
+    """Equal results, down to the bytes of every array of the start."""
+    assert_same_result(got, want)
+    assert (got.start is None) == (want.start is None)
+    if want.start is not None:
+        for field in dataclasses.fields(want.start):
+            mine, theirs = getattr(got.start, field.name), getattr(want.start, field.name)
+            assert mine.dtype == theirs.dtype and mine.shape == theirs.shape, field.name
+            assert mine.tobytes() == theirs.tobytes(), field.name
+
+
+@pytest.mark.parametrize("fixture", ["random", "polak3"])
+def test_bit_identical_to_reference_solver_cold_and_warm(surrogate_calls, fixture):
+    warm = 0
+    for args, kwargs in surrogate_calls[fixture]:
+        got = simplex.solve_lp(*args, **kwargs)
+        assert_same_as_reference(got, reference_simplex.solve_lp(*args, **kwargs))
+        warm += kwargs.get("start") is not None
+    assert 0 < warm < len(surrogate_calls[fixture])
+
+
+def test_bit_identical_to_reference_solver_on_random_warm_starts():
+    """Random and degenerate LPs re-solved from their optimal basis under a
+    branch-like bound cut, as the dual simplex sees them."""
+    rng = np.random.default_rng(808)
+    statuses = set()
+    for k in range(300):
+        if k % 3 == 2:
+            c, A, rel, b, lo, hi = degenerate_instance(rng)
+        else:
+            c, A, rel, b, lo, hi = random_instance(
+                rng, n=int(rng.integers(2, 10)), m=int(rng.integers(1, 10))
+            )
+        maximize = bool(rng.integers(0, 2))
+        root = reference_simplex.solve_lp(c, A, rel, b, lo, hi, maximize=maximize)
+        if root.start is None:
+            continue
+        i = int(rng.integers(0, c.size))
+        lower, upper = lo.copy(), hi.copy()
+        shift = float(rng.uniform(0.1, 2.0))
+        if rng.random() < 0.5:
+            upper[i] = max(np.floor(root.x[i] - shift), lower[i])
+        else:
+            lower[i] = min(np.ceil(root.x[i] + shift), upper[i])
+        args = (c, A, rel, b, lower, upper)
+        got = simplex.solve_lp(*args, maximize=maximize, start=root.start)
+        want = reference_simplex.solve_lp(*args, maximize=maximize, start=root.start)
+        assert_same_as_reference(got, want)
+        statuses.add(got.status)
+    assert statuses == {simplex.OPTIMAL, simplex.INFEASIBLE}
 
 
 # ---------------------------------------------------------------------------
