@@ -7,12 +7,16 @@ per-neuron interval bounds are propagated from the input box, each stable
 neuron becomes one equality row and each unstable neuron a binary indicator
 column and four big-M rows.  `conjoin` appends rows and an objective written
 over variable names, such as a problem's constraints; `milp_model` builds a
-model from named variables the same way.  `restrict_binaries` pins the
-indicators to one input's ReLU pattern by changing bounds only, so an
-activation-region probe shares the rows of the full model.  `solve` runs
-best-bound branch and bound over the dense simplex in `simplex.py`, each
-child LP warm-started from its parent's basis; `brute_force_milp` enumerates
-integer assignments and is the reference oracle for it.
+model from named variables the same way.  `region_models` builds
+activation-region probes: with every neuron's sign fixed to one input's
+pattern the network is affine, so a probe is a model over the inputs
+alone, whose optimum is the full model's with its indicators pinned.
+`_neuron_states` is the one rule both use to tell stable neurons from
+unstable ones.
+`solve` runs best-bound branch and bound over the dense simplex in
+`simplex.py`, each child LP warm-started from its parent's basis;
+`brute_force_milp` enumerates integer assignments and is the reference
+oracle for it.
 """
 from __future__ import annotations
 
@@ -395,6 +399,17 @@ def propagate_bounds(net: MlpSurrogate, input_box) -> NeuronBounds:
     return NeuronBounds(pre_lower, pre_upper, out_lo, out_hi)
 
 
+def _neuron_states(bounds: NeuronBounds) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per hidden layer, the masks of the neurons the bounds prove off
+    (pre <= 0 on the whole box) and on (pre >= 0, and not off); the others
+    are unstable.  `encode_network` and `region_models` classify by it."""
+    states = []
+    for p_lo, p_hi in zip(bounds.pre_lower, bounds.pre_upper):
+        off = p_hi <= 0.0
+        states.append((off, (p_lo >= 0.0) & ~off))
+    return states
+
+
 def encode_network(
     net: MlpSurrogate,
     input_vars: list[VariableSpec],
@@ -471,8 +486,10 @@ def encode_network(
         rows.append(([x, xn], [1.0, 0.0 - net.input_scale[i]], "=", net.input_shift[i]))
         prev.append(xn)
 
+    states = _neuron_states(bounds)
     for layer, (w, bias) in enumerate(zip(net.weights[:-1], net.biases[:-1])):
         p_lo, p_hi = bounds.pre_lower[layer], bounds.pre_upper[layer]
+        off, on = states[layer]
         # max(p, 0.0), keeping a -0.0 bound as it is
         post_lo = np.where(0.0 > p_lo, 0.0, p_lo)
         post_hi = np.where(0.0 > p_hi, 0.0, p_hi)
@@ -483,10 +500,10 @@ def encode_network(
             h = column(f"_h{layer}_{j}", post_lo[j], post_hi[j])
             # post - pre, against the constant bias[j]
             cols, coefs = [h, *prev], [1.0, *neg_w[j]]
-            if hi <= 0.0:
+            if off[j]:
                 rows.append(([h], [1.0], "=", 0.0))
                 indicators.append(-1)
-            elif lo >= 0.0:
+            elif on[j]:
                 rows.append((cols, coefs, "=", bias[j]))
                 indicators.append(-1)
             else:
@@ -556,18 +573,72 @@ def activation_pattern(net: MlpSurrogate, x) -> np.ndarray:
     return np.array(pattern, dtype=float)
 
 
-def restrict_binaries(model: MilpModel, pattern: np.ndarray) -> MilpModel:
-    """`model` with each unstable neuron's indicator pinned to `pattern`.
+def region_models(problem: ProblemSpec, net: MlpSurrogate, xs) -> list[MilpModel]:
+    """The activation regions of the inputs `xs`, each a model over the inputs alone.
 
-    `pattern` holds `activation_pattern`'s value per hidden neuron.  The
-    result shares its rows and objective with `model` and differs only in
-    `lower` and `upper`.  With every indicator pinned, `solve` reduces to a
-    single LP over the activation region the pattern selects.
+    On a region, where every unstable neuron keeps its sign at some x, the
+    network is affine: y = Y x + y0.  A region's model holds the input box,
+    with integer-kind inputs in `int_cols`; the problem rows and objective
+    with the outputs replaced by that map; one sign row per neuron that
+    `propagate_bounds` leaves unstable, `pre >= 0` if it is on at x and
+    `pre <= 0` if it is off; and a row for each declared output bound
+    tighter than the propagated one.  So its optimum is the one of
+    `assemble_problem_milp` with every indicator pinned to x's pattern.
+    Inputs whose unstable neurons share one pattern share a region, which
+    is listed once, in the order of `xs`.
     """
-    unstable = model.indicators >= 0
-    cols = model.indicators[unstable]
-    values = np.asarray(pattern, dtype=float)[unstable]
-    lower, upper = model.lower.copy(), model.upper.copy()
-    lower[cols] = values
-    upper[cols] = values
-    return replace(model, lower=lower, upper=upper)
+    n = len(problem.inputs)
+    graph = milp_model(
+        problem.inputs + problem.outputs, problem.constraints, problem.objective, problem.sense
+    )
+    box_lo, box_hi = graph.lower[:n], graph.upper[:n]
+    bounds = propagate_bounds(net, (box_lo, box_hi))
+    states = _neuron_states(bounds)
+    decl_lo, decl_hi = graph.lower[n:], graph.upper[n:]
+    tight_lo, tight_hi = decl_lo > bounds.out_lower, decl_hi < bounds.out_upper
+    bound_relations = [">="] * int(tight_lo.sum()) + ["<="] * int(tight_hi.sum())
+
+    # each layer as an affine map of x: one column per input, then the constant
+    normalized = np.hstack(
+        [np.diag(1.0 / net.input_scale), (-net.input_shift / net.input_scale)[:, None]]
+    )
+    regions: dict[tuple[str, ...], MilpModel] = {}
+    for x in xs:
+        pattern = activation_pattern(net, x) > 0.0
+        per_layer = np.split(pattern, np.cumsum(net.layer_sizes[1:-2]))
+        T = normalized
+        rows: list[np.ndarray] = []
+        signs: list[str] = []
+        for w, bias, (off, on), at_x in zip(net.weights, net.biases, states, per_layer):
+            pre = w @ T
+            pre[:, -1] += bias
+            unstable = ~(off | on)
+            rows.append(pre[unstable])
+            signs += [">=" if a else "<=" for a in at_x[unstable]]
+            T = np.where((on | (unstable & at_x))[:, None], pre, 0.0)
+        if tuple(signs) in regions:
+            continue
+        yn = net.weights[-1] @ T
+        yn[:, -1] += net.biases[-1]
+        Y = net.output_scale[:, None] * yn  # y = scale * yn + shift
+        Y[:, -1] += net.output_shift
+
+        lift = np.vstack([np.eye(n, n + 1), Y])  # (x, 1) -> (x, y)
+        A = np.vstack([graph.A @ lift, *rows, Y[tight_lo], Y[tight_hi]])
+        rhs = np.concatenate([
+            graph.b, np.zeros(len(signs)), decl_lo[tight_lo], decl_hi[tight_hi],
+        ])
+        c = graph.c @ lift
+        regions[tuple(signs)] = replace(
+            graph,
+            names=graph.names[:n],
+            lower=box_lo,
+            upper=box_hi,
+            int_cols=graph.int_cols[graph.int_cols < n],
+            A=A[:, :n],
+            relations=graph.relations + signs + bound_relations,
+            b=rhs - A[:, n],
+            c=c[:n],
+            obj_const=graph.obj_const + float(c[n]),
+        )
+    return list(regions.values())

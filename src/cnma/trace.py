@@ -198,13 +198,14 @@ def _parse_header(header: list[str]) -> tuple[list[str], list[str]]:
     return input_names, output_names
 
 
-def _parse_float(cell: str, column: str) -> float | None:
+def _parse_cell(cell: str, column: str, kind=float):
+    """`kind(cell)`, None for an empty cell."""
     if cell == "":
         return None
     try:
-        return float(cell)
+        return kind(cell)
     except ValueError:
-        raise TraceFormatError(f"column '{column}' has non-numeric value '{cell}'") from None
+        raise TraceFormatError(f"column '{column}' has non-{kind.__name__} value '{cell}'") from None
 
 
 def load_trace(path: str | Path) -> Trace:
@@ -228,26 +229,28 @@ def load_trace(path: str | Path) -> Trace:
             xs = cells[5 : 5 + d]
             ys = cells[5 + d : 5 + d + m]
             phi, best_phi, wall = cells[5 + d + m : 5 + d + m + 3]
-            x = None if all(c == "" for c in xs) else tuple(
-                _parse_float(c, f"x:{n}") for c, n in zip(xs, input_names)
-            )
-            y = None if all(c == "" for c in ys) else tuple(
-                _parse_float(c, f"y:{n}") for c, n in zip(ys, output_names)
-            )
-            rows.append(
-                TraceRow(
+            try:
+                x = None if all(c == "" for c in xs) else tuple(
+                    _parse_cell(c, f"x:{n}") for c, n in zip(xs, input_names)
+                )
+                y = None if all(c == "" for c in ys) else tuple(
+                    _parse_cell(c, f"y:{n}") for c, n in zip(ys, output_names)
+                )
+                row = TraceRow(
                     run_id,
                     solver,
-                    int(iteration) if iteration else None,
-                    int(eval_seq) if eval_seq else None,
+                    _parse_cell(iteration, "iteration", int),
+                    _parse_cell(eval_seq, "eval_seq", int),
                     event,
                     x,  # type: ignore[arg-type]
                     y,  # type: ignore[arg-type]
-                    _parse_float(phi, "phi"),
-                    _parse_float(best_phi, "best_phi"),
-                    int(wall) if wall else 0,
+                    _parse_cell(phi, "phi"),
+                    _parse_cell(best_phi, "best_phi"),
+                    _parse_cell(wall, "wall_ms", int) or 0,
                 )
-            )
+            except TraceFormatError as exc:
+                raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
+            rows.append(row)
     return Trace(input_names, output_names, rows)
 
 

@@ -10,7 +10,15 @@ import numpy as np
 from cnma import milp
 from cnma.benchmarks import builtin_problem_path
 from cnma.mlp import MlpSurrogate, forward, init_network
-from cnma.problem import LinearConstraint, LinearExpr, ProblemSpec, VariableSpec, linear, load_problem
+from cnma.problem import (
+    BlackboxRef,
+    LinearConstraint,
+    LinearExpr,
+    ProblemSpec,
+    VariableSpec,
+    linear,
+    load_problem,
+)
 
 
 def random_net(rng: np.random.Generator, n_in=None, n_out=None) -> MlpSurrogate:
@@ -39,7 +47,10 @@ def net_box(net: MlpSurrogate, half_width=2.0):
 
 
 def polak3_sized_model():
-    """12 -> 35 -> 10 net on the polak3 constraints: the size the loop solves."""
+    """12 -> 35 -> 10 net on the polak3 constraints: the size the loop solves.
+
+    Returns (problem, net, model).
+    """
     problem = load_problem(builtin_problem_path("polak3"))
     net = init_network((12, 35, 10), seed=3)
     net.input_scale = np.full(12, 0.6)
@@ -47,7 +58,50 @@ def polak3_sized_model():
     net.output_scale = np.full(10, 40.0)
     model = milp.assemble_problem_milp(problem, net)
     assert model.int_cols.size >= 20
-    return net, model
+    return problem, net, model
+
+
+def surrogate_problem(inputs, outputs, constraints=(), objective=LinearExpr(), sense="minimize"):
+    """A problem over the given variables; its blackbox is never called."""
+    return ProblemSpec(
+        "surrogate", list(inputs), list(outputs), list(constraints), objective, sense,
+        BlackboxRef("builtin", "rosenbrock"),
+    )
+
+
+def random_region_problem(rng: np.random.Generator, net: MlpSurrogate) -> ProblemSpec:
+    """A problem over `net_box(net)` with every feature a region model handles.
+
+    The first input is integer-kind half of the time.  y0's declared range
+    is a random slice of its propagated one, so both its bounds are tighter.
+    One to three rows over inputs and outputs pass through the net's graph
+    at a random point: an equality row half the time, else an inequality
+    that the point satisfies or not.  The objective and sense are random.
+    """
+    inputs, outputs = net_box(net)
+    if rng.random() < 0.5:
+        inputs[0] = dataclasses.replace(inputs[0], kind="integer")
+    box = ([v.lower for v in inputs], [v.upper for v in inputs])
+    bounds = milp.propagate_bounds(net, box)
+    y0_lo, y0_hi = np.sort(rng.uniform(bounds.out_lower[0], bounds.out_upper[0], size=2))
+    outputs[0] = VariableSpec("y0", float(y0_lo), float(y0_hi))
+    point = rng.uniform(*box)
+    if inputs[0].kind == "integer":
+        point[0] = np.round(point[0])
+    values = dict(zip([v.name for v in inputs + outputs], [*point, *forward(net, point)]))
+    constraints = []
+    for k in range(int(rng.integers(1, 4))):
+        terms = tuple((float(rng.normal()), name) for name in values if rng.random() < 0.6)
+        expr = LinearExpr(terms or ((1.0, "y0"),))
+        at_point = sum(c * values[v] for c, v in expr.terms)
+        if k == 0 and rng.random() < 0.5:
+            constraints.append(LinearConstraint(expr, "=", at_point))
+        else:
+            relation = ("<=", ">=")[int(rng.integers(0, 2))]
+            constraints.append(LinearConstraint(expr, relation, at_point + float(rng.normal())))
+    objective = LinearExpr(tuple((float(rng.normal()), name) for name in values))
+    sense = "maximize" if rng.random() < 0.5 else "minimize"
+    return surrogate_problem(inputs, outputs, constraints, objective, sense)
 
 
 def fix_inputs(model: milp.MilpModel, values: dict) -> milp.MilpModel:

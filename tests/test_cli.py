@@ -285,6 +285,22 @@ class TestReport:
         assert code == 1
         assert "detonate" in err
 
+    @pytest.mark.parametrize("cells, column", [
+        ("r,cnma,one,1,init,0.5,1.0,1.0,1.0,0", "iteration"),
+        ("r,cnma,0,1.5,init,0.5,1.0,1.0,1.0,0", "eval_seq"),
+        ("r,cnma,0,1,init,0.5,1.0,1.0,1.0,3ms", "wall_ms"),
+        ("r,cnma,0,1,init,0.5,1.0,nan?,1.0,0", "phi"),
+    ], ids=["iteration", "eval_seq", "wall_ms", "phi"])
+    def test_non_numeric_cell_exits_one_with_its_line(self, tmp_path, capsys, cells, column):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "run_id,solver,iteration,eval_seq,event,x:a,y:f,phi,best_phi,wall_ms\n"
+            "r,cnma,0,1,init,0.5,1.0,1.0,1.0,0\n" + cells + "\n"
+        )
+        code, _, err = run_cli(capsys, "report", str(bad))
+        assert code == 1
+        assert f"{bad}:3:" in err and f"'{column}'" in err
+
 
 def test_module_entry_point(tmp_path):
     trace = tmp_path / "t.csv"

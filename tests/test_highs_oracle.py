@@ -10,6 +10,7 @@ from cnma import milp, simplex
 from cnma.problem import LinearConstraint, linear
 
 from generators import net_box, random_milp, random_net
+from test_milp import region_cases
 from test_simplex import degenerate_instance, random_instance
 
 optimize = pytest.importorskip("scipy.optimize")
@@ -162,3 +163,18 @@ def test_warm_started_child_lps_agree_with_highs(monkeypatch):
         statuses.append(status)
     assert statuses.count(simplex.OPTIMAL) >= 50
     assert statuses.count(simplex.INFEASIBLE) >= 5
+
+
+def test_region_models_agree_with_highs():
+    """Activation-region probes over the inputs, integer inputs included."""
+    statuses = []
+    for problem, net, _, x in region_cases(43, 40):
+        (region,) = milp.region_models(problem, net, [x])
+        got = milp.solve(region)
+        status, value = highs_milp(region)
+        assert got.status == status
+        if status == milp.OPTIMAL:
+            assert_objectives_agree(got.objective_value, value)
+        statuses.append(status)
+    assert statuses.count(milp.OPTIMAL) >= 20
+    assert statuses.count(milp.INFEASIBLE) >= 20

@@ -1,9 +1,18 @@
 import dataclasses
+import multiprocessing as mp
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cnma import loop, milp
+import cnma
+from cnma import blackbox, loop, milp
+from cnma.baselines import nelder_mead, random_search
 from cnma.benchmarks import builtin_problem_names, builtin_problem_path, rosenbrock_forward
 from cnma.loop import CnmaConfig, cnma_run
 from cnma.problem import (
@@ -16,6 +25,7 @@ from cnma.problem import (
     linear,
     load_problem,
 )
+from cnma.simplex import LpNumericalError
 from cnma.trace import EVAL_EVENTS, TraceRecorder, validate_trace
 
 
@@ -219,8 +229,6 @@ class TestMachineIndependence:
         # a wall-clock MILP budget would cut every solve on this clock
         problem = load_problem(builtin_problem_path("polak3"))
         real_solve = milp.solve
-        # no probe helper: every probe is solved here, where `solve` sees it
-        monkeypatch.setattr(loop, "_fork_helper", lambda: None)
 
         def run(name: str):
             solves = []
@@ -241,6 +249,48 @@ class TestMachineIndependence:
         slow = run("slow.csv")
         assert slow[1] == plain[1]  # every full solve and probe, node for node
         assert slow[0] == plain[0]
+
+
+class TestProbeErrors:
+    """A probe whose LPs fail numerically is skipped; any other error reaches the caller."""
+
+    def test_numerical_failure_skips_only_that_probe(self, monkeypatch):
+        # the full solve finds nothing, so the probes supply every candidate
+        real = milp.solve
+        probes: list[list] = []
+
+        def solve(model, node_budget=100000, time_budget=None):
+            if node_budget != loop.PROBE_NODES:
+                probes.append([])
+                return milp.MilpSolution(milp.INFEASIBLE, None, None)
+            if not probes[-1]:
+                probes[-1].append(None)
+                raise LpNumericalError("first probe failed")
+            sol = real(model, node_budget, time_budget)
+            probes[-1].append(sol.status)
+            return sol
+
+        monkeypatch.setattr(milp, "solve", solve)
+        res = cnma_run(rosenbrock_problem(), fast_config(n_initial=6, pattern_probes=6))
+        assert len(probes) == len(res.iterations)
+        went_on = 0
+        for record, statuses in zip(res.iterations, probes):
+            proposed = milp.OPTIMAL in statuses[1:]
+            assert (record.proposed_x is not None) == proposed
+            went_on += proposed
+        assert went_on > 0
+
+    def test_other_probe_errors_reach_the_caller(self, monkeypatch):
+        real = milp.solve
+
+        def solve(model, node_budget=100000, time_budget=None):
+            if node_budget == loop.PROBE_NODES:
+                raise ValueError("probe broke")
+            return real(model, node_budget, time_budget)
+
+        monkeypatch.setattr(milp, "solve", solve)
+        with pytest.raises(ValueError, match="probe broke"):
+            cnma_run(rosenbrock_problem(), fast_config())
 
 
 class TestConfig:
@@ -284,3 +334,140 @@ class TestConfig:
     def test_none_override_keeps_default(self):
         cfg = CnmaConfig.for_problem(rosenbrock_problem(), objective_target=None)
         assert cfg.objective_target is None
+
+
+SRC = str(Path(cnma.__file__).resolve().parent.parent)
+
+# opens a run as `cnma_run` does, which starts the builtin worker, then waits
+OPEN_RUN = """
+import time
+from cnma.benchmarks import builtin_problem_path
+from cnma.loop import CnmaConfig, _Run
+from cnma.problem import load_problem
+problem = load_problem(builtin_problem_path("rosenbrock"))
+run = _Run(problem, CnmaConfig.for_problem(problem), None)
+print(run.harness._backend._proc.pid, flush=True)
+time.sleep(60)
+"""
+
+
+def running(pid: int) -> bool:
+    """True while `pid` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Every builtin worker process a harness starts, with the real behaviour."""
+    started = []
+    ensure = blackbox._BuiltinBackend._ensure_worker
+
+    def record(self):
+        ensure(self)
+        if not started or started[-1] is not self._proc:
+            started.append(self._proc)
+
+    monkeypatch.setattr(blackbox._BuiltinBackend, "_ensure_worker", record)
+    return started
+
+
+def assert_no_child_left(procs):
+    assert procs
+    assert mp.active_children() == []
+    for proc in procs:
+        assert not proc.is_alive()
+        with pytest.raises(ProcessLookupError):
+            os.kill(proc.pid, 0)
+
+
+class TestNoChildLeft:
+    """No process a run starts outlives it, however the run ends."""
+
+    def test_no_child_outlives_a_normal_run(self, workers):
+        res = cnma_run(rosenbrock_problem(), fast_config())
+        assert res.stop_reason == "max_iterations"
+        assert len(workers) == 1
+        assert_no_child_left(workers)
+        assert workers[0].exitcode == 0  # it left on the None message
+
+    def test_no_child_outlives_an_exhausted_budget(self, workers):
+        res = cnma_run(rosenbrock_problem(), fast_config(eval_budget=4, max_iterations=10))
+        assert res.stop_reason == "eval_budget"
+        assert_no_child_left(workers)
+
+    def test_no_child_outlives_an_error_from_fit(self, workers, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("fit failed")
+
+        monkeypatch.setattr(loop, "fit", fail)
+        with pytest.raises(RuntimeError, match="fit failed"):
+            cnma_run(rosenbrock_problem(), fast_config())
+        assert_no_child_left(workers)
+
+    def test_no_child_outlives_an_error_during_the_full_solve(self, workers, monkeypatch):
+        real = milp.solve
+
+        def solve(model, node_budget=100000, time_budget=None):
+            if node_budget != loop.PROBE_NODES:
+                raise RuntimeError("full solve failed")
+            return real(model, node_budget, time_budget)
+
+        monkeypatch.setattr(milp, "solve", solve)
+        with pytest.raises(RuntimeError, match="full solve failed"):
+            cnma_run(rosenbrock_problem(), fast_config())
+        assert_no_child_left(workers)
+
+    def test_baselines_leave_no_child(self, workers):
+        problem = rosenbrock_problem()
+        random_search(problem, eval_budget=10, seed=1)
+        nelder_mead(problem, eval_budget=10, seed=1)
+        assert len(workers) == 2
+        assert_no_child_left(workers)
+
+    def test_serve_child_ends_by_end_of_file(self, monkeypatch):
+        problem = dataclasses.replace(
+            load_problem(builtin_problem_path("polak3")),
+            blackbox=BlackboxRef("subprocess", f"{sys.executable} -m cnma.serve polak3"),
+        )
+        children = []
+        ensure = blackbox._SubprocessBackend._ensure_child
+
+        def record(self):
+            ensure(self)
+            if not children or children[-1] is not self._proc:
+                children.append(self._proc)
+
+        monkeypatch.setattr(blackbox._SubprocessBackend, "_ensure_child", record)
+        res = cnma_run(problem, fast_config(eval_budget=5))
+        assert res.counter.total_calls == 5
+        assert len(children) == 1
+        # close() gives the child 0.5 s after closing its stdin, then kills it
+        assert children[0].returncode == 0
+        assert mp.active_children() == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+    def test_worker_exits_when_the_parent_is_killed(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        parent = subprocess.Popen(
+            [sys.executable, "-c", OPEN_RUN], stdout=subprocess.PIPE, env=env, text=True
+        )
+        try:
+            pids = [int(v) for v in parent.stdout.readline().split()]
+        finally:
+            parent.kill()
+            parent.wait()
+            parent.stdout.close()
+        try:
+            assert len(pids) == 1
+            deadline = time.monotonic() + 10
+            while any(map(running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(running, pids))
+        finally:
+            for pid in filter(running, pids):
+                os.kill(pid, signal.SIGKILL)

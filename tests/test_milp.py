@@ -1,8 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cnma import milp
-from cnma.benchmarks import builtin_problem_path
 from cnma.milp import (
     BUDGET_EXCEEDED,
     INFEASIBLE,
@@ -15,11 +16,11 @@ from cnma.milp import (
     encode_network,
     milp_model,
     propagate_bounds,
-    restrict_binaries,
+    region_models,
     solve,
 )
-from cnma.mlp import MlpSurrogate, forward, init_network
-from cnma.problem import LinearConstraint, VariableSpec, linear, load_problem
+from cnma.mlp import MlpSurrogate, forward
+from cnma.problem import LinearConstraint, VariableSpec, evaluate_linear, linear
 
 from generators import (
     assert_solver_matches_oracle,
@@ -27,8 +28,11 @@ from generators import (
     encoding_deviation,
     fix_inputs,
     net_box,
+    polak3_sized_model,
     random_milp,
     random_net,
+    random_region_problem,
+    surrogate_problem,
 )
 
 
@@ -76,6 +80,16 @@ class TestPropagateBounds:
             propagate_bounds(relu_net(), ([1.0], [0.0]))
 
 
+def pin_indicators(model, pattern):
+    """`model` with each unstable neuron's indicator fixed to its value in
+    `pattern`, one value per hidden neuron as `activation_pattern` gives."""
+    unstable = model.indicators >= 0
+    cols = model.indicators[unstable]
+    lower, upper = model.lower.copy(), model.upper.copy()
+    lower[cols] = upper[cols] = np.asarray(pattern, dtype=float)[unstable]
+    return dataclasses.replace(model, lower=lower, upper=upper)
+
+
 def relu_model(lo, hi):
     """max(0, x) for x in [lo, hi], encoded from `relu_net`.
 
@@ -100,7 +114,7 @@ POST_MINUS_PRE = linear((1.0, "_h0_0"), (-1.0, "_xn0"))
 
 class TestEncodeRelu:
     def test_indicator_one_forces_identity_branch(self):
-        model = restrict_binaries(relu_model(-3.0, 4.0), np.array([1.0]))
+        model = pin_indicators(relu_model(-3.0, 4.0), np.array([1.0]))
         assert extremize(model, PRE, "minimize") == pytest.approx(0.0, abs=1e-9)
         assert extremize(model, PRE, "maximize") == pytest.approx(4.0, abs=1e-9)
         # post - pre is pinned to zero on this branch
@@ -108,7 +122,7 @@ class TestEncodeRelu:
             assert extremize(model, POST_MINUS_PRE, sense) == pytest.approx(0.0, abs=1e-9)
 
     def test_indicator_zero_forces_dead_branch(self):
-        model = restrict_binaries(relu_model(-3.0, 4.0), np.array([0.0]))
+        model = pin_indicators(relu_model(-3.0, 4.0), np.array([0.0]))
         assert extremize(model, PRE, "minimize") == pytest.approx(-3.0, abs=1e-9)
         assert extremize(model, PRE, "maximize") == pytest.approx(0.0, abs=1e-9)
         assert extremize(model, POST, "maximize") == pytest.approx(0.0, abs=1e-9)
@@ -432,57 +446,144 @@ class TestPatternProbes:
         assert pattern.shape == (sum(net.layer_sizes[1:-1]),)
 
     def test_restricted_model_still_contains_the_sample(self):
+        """A sample lies in its own region, and there the region model's
+        objective is the problem's at the network's output."""
         rng = np.random.default_rng(6)
         for _ in range(10):
             net = random_net(rng)
             x = rng.uniform(-1.5, 1.5, size=net.n_inputs)
             inputs, outputs = net_box(net)
-            model = milp.encode_network(net, inputs, outputs)
-            restricted = restrict_binaries(model, activation_pattern(net, x))
-            fixed = fix_inputs(
-                restricted, {f"x{i}": float(x[i]) for i in range(net.n_inputs)}
-            )
-            sol = solve(conjoin(fixed, (), linear((1.0, "y0"))))
-            assert sol.status == OPTIMAL
-            assert sol.assignment["y0"] == pytest.approx(
-                float(forward(net, x)[0]), abs=1e-6
+            objective = linear(*((float(rng.normal()), v.name) for v in inputs + outputs))
+            problem = surrogate_problem(inputs, outputs, objective=objective)
+            (region,) = region_models(problem, net, [x])
+            assert milp._check_assignment(region, x) <= 1e-9
+            at_x = problem.assignment(x, forward(net, x))
+            assert region.c @ x + region.obj_const == pytest.approx(
+                evaluate_linear(objective, at_x), abs=1e-9
             )
 
     def test_all_binaries_pinned(self):
+        """No indicator is left: the columns are the inputs, and only the
+        integer-kind ones are integral."""
         rng = np.random.default_rng(7)
-        net = random_net(rng)
+        net = random_net(rng, n_in=3)
         inputs, outputs = net_box(net)
-        model = milp.encode_network(net, inputs, outputs)
-        restricted = restrict_binaries(
-            model, activation_pattern(net, np.zeros(net.n_inputs))
-        )
-        cols = restricted.int_cols
-        assert np.array_equal(restricted.lower[cols], restricted.upper[cols])
+        inputs[1] = dataclasses.replace(inputs[1], kind="integer")
+        (region,) = region_models(surrogate_problem(inputs, outputs), net, [np.zeros(3)])
+        assert region.names == ["x0", "x1", "x2"]
+        assert region.int_cols.tolist() == [1]
+        assert region.indicators.size == 0
 
-    def test_probe_changes_only_indicator_bounds(self):
-        """On a 12 -> 35 -> 10 net over the polak3 constraints, a probe shares
-        the rows and objective of the full model, pins exactly the unstable
-        neurons' indicators, and leaves the full model's bounds untouched."""
-        problem = load_problem(builtin_problem_path("polak3"))
-        net = init_network((12, 35, 10), seed=3)
-        net.input_scale = np.full(12, 0.6)
-        net.output_shift = np.full(10, 20.0)
-        net.output_scale = np.full(10, 40.0)
-        model = milp.assemble_problem_milp(problem, net)
-        lower, upper = model.lower.copy(), model.upper.copy()
+    def test_inputs_sharing_a_region_get_one_model(self):
+        """One model per pattern of the unstable neurons, in first-seen
+        order, the same model as for its first input alone."""
+        problem, net, model = polak3_sized_model()
         unstable = model.indicators >= 0
-        cols = model.indicators[unstable]
-        assert np.array_equal(np.sort(cols), model.int_cols) and cols.size >= 20
-        others = np.setdiff1d(np.arange(len(model.names)), cols)
+        xs = np.random.default_rng(8).uniform(-1.0, 1.0, size=(5, 12))
+        xs = np.vstack([xs, xs[::-1]])
+        keys = [activation_pattern(net, x)[unstable].tobytes() for x in xs]
+        firsts = [xs[keys.index(key)] for key in dict.fromkeys(keys)]
+        regions = region_models(problem, net, xs)
+        assert len(regions) == len(firsts) >= 2
+        for region, x in zip(regions, firsts):
+            (alone,) = region_models(problem, net, [x])
+            assert region.relations == alone.relations
+            assert np.array_equal(region.A, alone.A) and np.array_equal(region.b, alone.b)
+            signs = slice(len(problem.constraints), len(problem.constraints) + unstable.sum())
+            resid = region.A[signs] @ x - region.b[signs]
+            assert np.all(np.where(np.array(region.relations[signs]) == ">=", resid, -resid) >= 0.0)
+
+    def test_region_has_one_sign_row_per_unstable_neuron(self):
+        """On a 12 -> 35 -> 10 net over the polak3 constraints, the region
+        model has the problem rows, one sign row per unstable neuron (`>=`
+        where the neuron is on at x), then one row per declared output bound
+        tighter than the propagated one, and nothing else."""
+        problem, net, model = polak3_sized_model()
+        unstable = model.indicators >= 0
+        bounds = propagate_bounds(net, ([v.lower for v in problem.inputs],
+                                        [v.upper for v in problem.inputs]))
+        tight_lo = sum(v.lower > lo for v, lo in zip(problem.outputs, bounds.out_lower))
+        tight_hi = sum(v.upper < hi for v, hi in zip(problem.outputs, bounds.out_upper))
+        assert tight_lo == 10 and tight_hi == 9
+        rows = [c.relation for c in problem.constraints]
         for x in np.random.default_rng(5).uniform(-1.0, 1.0, size=(4, 12)):
+            (region,) = region_models(problem, net, [x])
+            assert region.names == problem.input_names()
+            on = activation_pattern(net, x)[unstable] > 0.0
+            signs = [">=" if o else "<=" for o in on]
+            assert region.relations == rows + signs + [">="] * tight_lo + ["<="] * tight_hi
+            assert region.A.shape == (len(region.relations), 12)
+
+
+def full_vector(model, net, x, pattern):
+    """The big-M model's columns at input x: hidden, indicator and output
+    columns from the forward pass, indicators from `pattern`."""
+    values = {f"x{i}": v for i, v in enumerate(x)}
+    a = (x - net.input_shift) / net.input_scale
+    values.update((f"_xn{i}", v) for i, v in enumerate(a))
+    first = 0
+    for layer, (w, bias) in enumerate(zip(net.weights[:-1], net.biases[:-1])):
+        a = np.maximum(w @ a + bias, 0.0)
+        for j, h in enumerate(a):
+            values[f"_h{layer}_{j}"] = h
+            values[f"_d{layer}_{j}"] = pattern[first + j]
+        first += len(a)
+    yn = net.weights[-1] @ a + net.biases[-1]
+    values.update((f"_yn{k}", v) for k, v in enumerate(yn))
+    values.update((f"y{k}", v) for k, v in enumerate(forward(net, x)))
+    return np.array([values[name] for name in model.names])
+
+
+def region_cases(seed, count):
+    """(problem, net, full model, x): four random samples x for each of
+    `count` random nets with their random problems."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        net = random_net(rng)
+        problem = random_region_problem(rng, net)
+        model = milp.assemble_problem_milp(problem, net)
+        for x in rng.uniform(-2.0, 2.0, size=(4, net.n_inputs)):
+            yield problem, net, model, x
+
+
+class TestRegionModel:
+    """The region model against the full big-M model with its indicators pinned."""
+
+    def test_status_and_objective_match_the_pinned_full_model(self):
+        seen = {"status": set(), "integer": 0, "equality": 0, "bound rows": 0}
+        for problem, net, model, x in region_cases(41, 60):
+            (region,) = region_models(problem, net, [x])
+            got = solve(region)
+            want = solve(pin_indicators(model, activation_pattern(net, x)))
+            assert got.status == want.status
+            if want.status == OPTIMAL:
+                assert got.objective_value == pytest.approx(
+                    want.objective_value, rel=1e-7, abs=1e-7
+                )
+            seen["status"].add(got.status)
+            seen["integer"] += region.int_cols.size
+            seen["equality"] += "=" in region.relations
+            seen["bound rows"] += len(region.relations) > len(problem.constraints) + int(
+                (model.indicators >= 0).sum()
+            )
+        assert seen["status"] == {OPTIMAL, INFEASIBLE}
+        assert min(seen["integer"], seen["equality"], seen["bound rows"]) > 0
+
+    def test_lifted_point_passes_the_pinned_full_model(self):
+        optimal = 0
+        for problem, net, model, x in region_cases(42, 60):
+            (region,) = region_models(problem, net, [x])
+            sol = solve(region)
+            if sol.status != OPTIMAL:
+                continue
+            optimal += 1
             pattern = activation_pattern(net, x)
-            probe = restrict_binaries(model, pattern)
-            assert probe is not model
-            assert probe.A is model.A and probe.b is model.b and probe.c is model.c
-            assert probe.relations is model.relations
-            assert np.array_equal(probe.lower[cols], pattern[unstable])
-            assert np.array_equal(probe.upper[cols], pattern[unstable])
-            assert probe.lower[others].tobytes() == lower[others].tobytes()
-            assert probe.upper[others].tobytes() == upper[others].tobytes()
-            assert model.lower.tobytes() == lower.tobytes()
-            assert model.upper.tobytes() == upper.tobytes()
+            point = np.array([sol.assignment[name] for name in problem.input_names()])
+            pinned = pin_indicators(model, pattern)
+            full = full_vector(pinned, net, point, pattern)
+            assert milp._check_assignment(pinned, full) <= milp.FEAS_TOL
+            lifted = problem.assignment(point, forward(net, point))
+            assert evaluate_linear(problem.objective, lifted) == pytest.approx(
+                sol.objective_value, rel=1e-9, abs=1e-9
+            )
+        assert optimal >= 20

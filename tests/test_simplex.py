@@ -11,7 +11,7 @@ from cnma.problem import linear
 
 import dense_simplex
 import reference_simplex
-from generators import audit_case, net_box, polak3_sized_model, random_net
+from generators import audit_case, net_box, polak3_sized_model, random_net, surrogate_problem
 from rational_lp import solve_rational_lp, OPTIMAL as R_OPT, INFEASIBLE as R_INF
 
 
@@ -201,9 +201,9 @@ def test_bit_identical_to_dense_kernel_on_random_lps():
     assert statuses == {simplex.OPTIMAL, simplex.INFEASIBLE}
 
 
-def surrogate_lps(monkeypatch, net, model, node_budget, probe_inputs):
-    """Every LP a budgeted full solve and one activation-region probe per
-    input pass to simplex.solve_lp, as the CNMA loop runs them."""
+def surrogate_lps(monkeypatch, problem, net, node_budget, probe_inputs):
+    """Every LP a budgeted full solve and the activation-region probes of
+    the inputs pass to simplex.solve_lp, as the CNMA loop runs them."""
     calls = []
     real = simplex.solve_lp
 
@@ -212,10 +212,9 @@ def surrogate_lps(monkeypatch, net, model, node_budget, probe_inputs):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(simplex, "solve_lp", spy)
-    milp.solve(model, node_budget=node_budget)
-    for x in probe_inputs:
-        pattern = milp.activation_pattern(net, x)
-        milp.solve(milp.restrict_binaries(model, pattern), node_budget=8)
+    milp.solve(milp.assemble_problem_milp(problem, net), node_budget=node_budget)
+    for region in milp.region_models(problem, net, probe_inputs):
+        milp.solve(region, node_budget=8)
     monkeypatch.undo()
     return calls
 
@@ -230,16 +229,16 @@ def random_surrogate_calls(monkeypatch):
         names = [v.name for v in inputs + outputs]
         objective = linear(*((float(rng.normal()), name) for name in names))
         sense = "maximize" if rng.random() < 0.5 else "minimize"
-        model = milp.conjoin(milp.encode_network(net, inputs, outputs), (), objective, sense)
+        problem = surrogate_problem(inputs, outputs, objective=objective, sense=sense)
         probes = rng.uniform(-2.0, 2.0, size=(3, net.n_inputs))
-        calls += surrogate_lps(monkeypatch, net, model, 200, probes)
+        calls += surrogate_lps(monkeypatch, problem, net, 200, probes)
     return calls
 
 
 def polak3_sized_calls(monkeypatch):
-    net, model = polak3_sized_model()
+    problem, net, _ = polak3_sized_model()
     probes = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, 12))
-    return surrogate_lps(monkeypatch, net, model, 16, probes)
+    return surrogate_lps(monkeypatch, problem, net, 16, probes)
 
 
 @pytest.fixture(scope="module")
@@ -368,7 +367,7 @@ def test_warm_child_lps_take_under_a_third_of_the_cold_pivots(surrogate_calls):
 
 def root_and_children():
     """The polak3-sized root LP, its start, and its two branch bounds."""
-    _, model = polak3_sized_model()
+    _, _, model = polak3_sized_model()
     lp = (model.c, model.A, model.relations, model.b)
     root = simplex.solve_lp(*lp, model.lower, model.upper)
     assert root.status == simplex.OPTIMAL and root.start is not None
