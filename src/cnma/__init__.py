@@ -8,9 +8,9 @@ problems, a subprocess evaluation harness, and a trace/report CLI round out
 the toolkit.
 """
 
-from .baselines import BaselineResult, nelder_mead, random_search
+from .baselines import nelder_mead, random_search
 from .blackbox import EvalCounter, EvalHarness, EvalRecord, sample_uniform
-from .loop import CnmaConfig, CnmaResult, IterationRecord, cnma_run
+from .loop import CnmaConfig, IterationRecord, cnma_run
 from .milp import MilpModel, MilpSolution, assemble_problem_milp
 from .mlp import Dataset, MlpSurrogate, fit, forward, init_network
 from .problem import (
@@ -25,15 +25,14 @@ from .problem import (
     load_problem,
     parse_problem,
 )
+from .session import RunResult
 from .trace import Trace, TraceRecorder, load_trace, validate_trace
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaselineResult",
     "BlackboxRef",
     "CnmaConfig",
-    "CnmaResult",
     "Dataset",
     "EvalCounter",
     "EvalHarness",
@@ -45,6 +44,7 @@ __all__ = [
     "MilpSolution",
     "MlpSurrogate",
     "ProblemSpec",
+    "RunResult",
     "Trace",
     "TraceRecorder",
     "VariableSpec",

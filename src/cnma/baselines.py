@@ -1,77 +1,21 @@
 """Baseline solvers: uniform random search and Nelder-Mead.
 
 Both spend their calls through the same `Session` as the main loop: every
-call counts against the budget, timeouts are traced and discarded, and the
-best point is the best *actually feasible* evaluation seen.  Nelder-Mead
+call counts against the budget, timeouts are traced and discarded, the best
+point is the best *actually feasible* evaluation seen, and the session's
+stop rule ends the run and builds its `RunResult`.  Nelder-Mead
 handles constraints with a death penalty (infeasible or failed evaluations
 score +inf), which keeps the simplex method unmodified.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .blackbox import EvalCounter
-from .problem import ProblemSpec, require_valid
-from .session import BudgetExhausted, Sample, Session
+from .problem import ProblemSpec
+from .session import RunResult, Session
 from .trace import TraceRecorder
 
 DIAMETER_EPS = 1e-8
-
-
-@dataclass
-class BaselineResult:
-    problem: str
-    solver: str
-    best_x: tuple[float, ...] | None
-    best_y: tuple[float, ...] | None
-    best_phi: float | None
-    feasible_found: bool
-    stop_reason: str  # objective_target | eval_budget
-    counter: EvalCounter
-
-
-class _TargetReached(Exception):
-    pass
-
-
-def _open(problem, solver, eval_budget, seed, objective_target, trace) -> Session:
-    require_valid(problem)
-    if eval_budget < 1:
-        raise ValueError("eval_budget must be at least 1")
-    return Session(problem, solver, eval_budget, seed, objective_target, trace)
-
-
-def _evaluate(session: Session, x) -> Sample | None:
-    """One call; stops the search right after the verdict row that hits the target."""
-    _, sample = session.evaluate(x, "eval")
-    if session.target_hit:
-        raise _TargetReached
-    return sample
-
-
-def _search(session: Session, body) -> BaselineResult:
-    """Run `body` until the budget is spent or the target is hit."""
-    stop = "eval_budget"
-    try:
-        body()
-    except BudgetExhausted:
-        pass
-    except _TargetReached:
-        stop = "objective_target"
-    finally:
-        session.harness.close()
-    return BaselineResult(
-        problem=session.problem.name,
-        solver=session.solver,
-        best_x=session.best_x,
-        best_y=session.best_y,
-        best_phi=session.best_phi,
-        feasible_found=session.best_phi is not None,
-        stop_reason=stop,
-        counter=session.harness.counter,
-    )
 
 
 def random_search(
@@ -80,16 +24,16 @@ def random_search(
     seed: int = 0,
     objective_target: float | None = None,
     trace: TraceRecorder | None = None,
-) -> BaselineResult:
-    """Evaluate independent uniform samples until the budget runs out."""
-    session = _open(problem, "random", eval_budget, seed, objective_target, trace)
+) -> RunResult:
+    """Evaluate independent uniform samples until the session stops the run."""
+    session = Session(problem, "random", eval_budget, seed, objective_target, trace)
 
     def body() -> None:
         while True:
             session.iteration += 1
-            _evaluate(session, session.draw())
+            session.evaluate(session.draw(), "eval")
 
-    return _search(session, body)
+    return session.drive(body)
 
 
 def nelder_mead(
@@ -98,7 +42,7 @@ def nelder_mead(
     seed: int = 0,
     objective_target: float | None = None,
     trace: TraceRecorder | None = None,
-) -> BaselineResult:
+) -> RunResult:
     """Downhill simplex with bound clamping, death penalty, and restarts.
 
     Standard coefficients: reflection 1, expansion 2, contraction 0.5,
@@ -108,14 +52,14 @@ def nelder_mead(
     for v in problem.inputs:
         if v.kind != "continuous":
             raise ValueError("nelder-mead requires continuous inputs")
-    session = _open(problem, "nelder-mead", eval_budget, seed, objective_target, trace)
+    session = Session(problem, "nelder-mead", eval_budget, seed, objective_target, trace)
     lower, upper = session.lower, session.upper
     span = upper - lower
     n = len(problem.inputs)
 
     def score(x: np.ndarray) -> float:
         # death penalty: anything unusable is +inf
-        sample = _evaluate(session, x)
+        _, sample = session.evaluate(x, "eval")
         if sample is None or not sample.feasible:
             return np.inf
         return session.sign * sample.phi
@@ -172,7 +116,7 @@ def nelder_mead(
                         xs[i] = clamp(xs[0] + 0.5 * (xs[i] - xs[0]))
                         fs[i] = score(xs[i])
 
-    return _search(session, body)
+    return session.drive(body)
 
 
 def _diameter(xs: np.ndarray) -> float:

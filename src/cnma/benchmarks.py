@@ -191,21 +191,16 @@ def sleeper_forward(x):
     return np.array([float(x[0])])
 
 
-REGISTRY: dict[str, Builtin] = {}
-
-
-def register_builtin(builtin: Builtin) -> None:
-    REGISTRY[builtin.id] = builtin
-
-
-for _b in (
-    Builtin("polak3", polak3_forward, 12, 10),
-    Builtin("rosenbrock", rosenbrock_forward, 2, 1),
-    Builtin("band", band_forward, 4, 1),
-    Builtin("parking", parking_forward, 4, 3),
-    Builtin("sleeper", sleeper_forward, 1, 1),
-):
-    register_builtin(_b)
+REGISTRY: dict[str, Builtin] = {
+    b.id: b
+    for b in (
+        Builtin("polak3", polak3_forward, 12, 10),
+        Builtin("rosenbrock", rosenbrock_forward, 2, 1),
+        Builtin("band", band_forward, 4, 1),
+        Builtin("parking", parking_forward, 4, 3),
+        Builtin("sleeper", sleeper_forward, 1, 1),
+    )
+}
 
 
 def get_builtin(builtin_id: str) -> Builtin:

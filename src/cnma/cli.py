@@ -91,8 +91,6 @@ def _load_overrides(path: str | None) -> dict:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.budget < 1:
-        raise _UsageError("--budget must be at least 1")
     problem = _resolve_problem(args.problem)
     overrides = _load_overrides(args.config)
     if overrides and args.solver != "cnma":
@@ -109,13 +107,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             overrides["objective_target"] = args.target
         config = CnmaConfig.for_problem(problem, **overrides)
         result = cnma_run(problem, config, recorder)
-        iterations = len(result.iterations)
     elif args.solver == "random":
         result = random_search(problem, args.budget, args.seed, args.target, recorder)
-        iterations = None
     else:
         result = nelder_mead(problem, args.budget, args.seed, args.target, recorder)
-        iterations = None
     wall = time.perf_counter() - started
 
     trace_path = Path(args.trace) if args.trace else Path(f"{run_id}.csv")
@@ -134,7 +129,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "best_y": list(result.best_y) if result.best_y is not None else None,
         "feasible_found": result.feasible_found,
         "stop_reason": result.stop_reason,
-        "iterations": iterations,
+        "iterations": len(result.iterations) if args.solver == "cnma" else None,
         "evals": {
             "total": counter.total_calls,
             "ok": counter.ok,

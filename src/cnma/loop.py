@@ -17,8 +17,10 @@ probe is a small LP over the inputs alone (`milp.region_models`); its point
 is lifted to the outputs by the network's forward pass.
 
 Every blackbox call, including timeouts and initialization, counts against
-the evaluation budget.  Identical (problem, config, seed) produce identical
-runs.
+the evaluation budget.  The run's `Session` ends it: each iteration begins
+with its stop check, so a run whose target is reached or whose budget is
+spent stops before it trains another surrogate.  Identical (problem, config,
+seed) produce identical runs.
 """
 from __future__ import annotations
 
@@ -29,15 +31,10 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import milp
-from .blackbox import EvalCounter, EvalRecord
+from .blackbox import EvalRecord
 from .mlp import Dataset, TrainingDivergedError, fit, forward, init_network
-from .problem import (
-    ProblemSpec,
-    constraint_violation,
-    evaluate_linear,
-    require_valid,
-)
-from .session import BudgetExhausted, Sample, Session
+from .problem import ProblemSpec, constraint_violation, evaluate_linear
+from .session import RunResult, Sample, Session
 from .simplex import LpNumericalError
 from .trace import TraceRecorder
 
@@ -63,7 +60,7 @@ class CnmaConfig:
                 f"solver option 'net_hidden' needs widths >= 1, got {list(self.net_hidden)}"
             )
         for name, least in (("batch_size", 1), ("epochs", 1), ("milp_node_budget", 1),
-                            ("pattern_probes", 0), ("n_initial", 0)):
+                            ("pattern_probes", 0), ("n_initial", 0), ("max_iterations", 0)):
             value = getattr(self, name)
             if not isinstance(value, Integral) or value < least:
                 raise ValueError(
@@ -99,21 +96,8 @@ class IterationRecord:
     eval_status: str | None  # ok | timeout | error | None
     actual_y: tuple[float, ...] | None
     feasible: bool | None
-    outcome: str  # success | failure | random | stopped
+    outcome: str  # success | failure | random
     best_phi: float | None
-
-
-@dataclass
-class CnmaResult:
-    problem: str
-    best_x: tuple[float, ...] | None
-    best_y: tuple[float, ...] | None
-    best_phi: float | None
-    feasible_found: bool
-    stop_reason: str  # objective_target | eval_budget | max_iterations
-    iterations: list[IterationRecord]
-    counter: EvalCounter
-    n_samples: int
 
 
 PROBE_NODES = 8  # branch-and-bound node budget of one activation-region probe
@@ -138,12 +122,9 @@ class _Run(Session):
         return rec, sample
 
     def random_fill(self, count: int, event: str = "random_fill") -> None:
-        """Add `count` random samples as `event` rows; retries are random_fill rows.
-
-        Stops early once a sample reaches the objective target.
-        """
+        """Add `count` random samples as `event` rows; retries are random_fill rows."""
         added, retry = 0, False
-        while added < count and not self.target_hit:
+        while added < count:
             _, sample = self.sample(self.draw(), "random_fill" if retry else event)
             retry = sample is None
             added += not retry
@@ -153,38 +134,21 @@ def cnma_run(
     problem: ProblemSpec,
     config: CnmaConfig | None = None,
     trace: TraceRecorder | None = None,
-) -> CnmaResult:
-    require_valid(problem)
+) -> RunResult:
     config = config or CnmaConfig.for_problem(problem)
     run = _Run(problem, config, trace)
     records: list[IterationRecord] = []
-    stop_reason = "max_iterations"
-    try:
+
+    def body() -> None:
         run.random_fill(config.n_initial, "init")
         for it in range(1, config.max_iterations + 1):
-            if run.target_hit:
-                break
+            run.check()  # a spent budget stops the run before training
             if not run.samples:
                 run.random_fill(1)
             run.iteration = it
             records.append(_iterate(run, it))
-    except BudgetExhausted:
-        stop_reason = "eval_budget"
-    finally:
-        run.harness.close()
-    if run.target_hit:
-        stop_reason = "objective_target"
-    return CnmaResult(
-        problem=problem.name,
-        best_x=run.best_x,
-        best_y=run.best_y,
-        best_phi=run.best_phi,
-        feasible_found=run.best_phi is not None,
-        stop_reason=stop_reason,
-        iterations=records,
-        counter=run.harness.counter,
-        n_samples=len(run.samples),
-    )
+
+    return run.drive(body, records)
 
 
 def _train_seed(seed: int, iteration: int) -> int:

@@ -369,9 +369,9 @@ class NeuronBounds:
     out_upper: np.ndarray
 
 
-def propagate_bounds(net: MlpSurrogate, input_box) -> NeuronBounds:
-    """input_box is (lower, upper) arrays in raw input space."""
-    raw_lo, raw_hi = (np.asarray(side, dtype=float) for side in input_box)
+def propagate_bounds(net: MlpSurrogate, box) -> NeuronBounds:
+    """box is (lower, upper) arrays in raw input space."""
+    raw_lo, raw_hi = (np.asarray(side, dtype=float) for side in box)
     if raw_lo.shape != (net.n_inputs,) or raw_hi.shape != (net.n_inputs,):
         raise ValueError("input box arity does not match the network")
     if np.any(raw_lo > raw_hi):
@@ -414,7 +414,6 @@ def encode_network(
     net: MlpSurrogate,
     input_vars: list[VariableSpec],
     output_vars: list[VariableSpec],
-    input_box=None,
 ) -> MilpModel:
     """MILP whose (x, y) projection is the graph of the network.
 
@@ -437,11 +436,8 @@ def encode_network(
         if not NAME_PATTERN.match(v.name):
             raise EncodingError(f"variable name '{v.name}' is not encodable")
 
-    if input_box is None:
-        box_lo = np.array([v.lower for v in input_vars], dtype=float)
-        box_hi = np.array([v.upper for v in input_vars], dtype=float)
-    else:
-        box_lo, box_hi = (np.asarray(s, dtype=float) for s in input_box)
+    box_lo = np.array([v.lower for v in input_vars], dtype=float)
+    box_hi = np.array([v.upper for v in input_vars], dtype=float)
     bounds = propagate_bounds(net, (box_lo, box_hi))
 
     # `not <=` also rejects NaN bounds
@@ -554,11 +550,9 @@ def encode_network(
     )
 
 
-def assemble_problem_milp(
-    problem: ProblemSpec, net: MlpSurrogate, input_box=None
-) -> MilpModel:
+def assemble_problem_milp(problem: ProblemSpec, net: MlpSurrogate) -> MilpModel:
     """Surrogate graph /\\ problem constraints, with the problem objective."""
-    model = encode_network(net, problem.inputs, problem.outputs, input_box)
+    model = encode_network(net, problem.inputs, problem.outputs)
     return conjoin(model, problem.constraints, problem.objective, problem.sense)
 
 

@@ -269,7 +269,7 @@ def parse_problem(data: Mapping) -> ProblemSpec:
             eval_timeout=float(data.get("eval_timeout", DEFAULT_EVAL_TIMEOUT)),
             solver_defaults=dict(data.get("cnma", {})),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ProblemFormatError(f"malformed problem document: {exc}") from exc
     return require_valid(spec)
 

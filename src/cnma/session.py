@@ -1,4 +1,4 @@
-"""One accounted evaluation path, shared by cnma, random search and Nelder-Mead.
+"""One evaluation path and one stop rule for cnma, random search and Nelder-Mead.
 
 A `Session` owns the harness, the seeded draw stream, the evaluation budget,
 the incumbent and the trace rows.  `evaluate` spends one call: a timeout or
@@ -6,20 +6,33 @@ error gets one `timeout` row; an ok result gets its event row and a verdict
 row, and is judged once (phi, feasibility) into the returned `Sample`.  The
 session keeps no per-call history; a solver that learns from samples keeps
 them itself.
+
+The session also ends every run.  `check` raises `Stop` once the objective
+target is reached or, failing that, once the budget is spent; `evaluate`
+calls it before each call, so a run stops right after the verdict row that
+reaches its target and never asks for a call past its budget.  `drive` runs
+a solver body until it stops, closes the harness and returns the `RunResult`.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
+import math
+from dataclasses import dataclass, field
+from numbers import Real
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .blackbox import OK, EvalHarness, EvalRecord, sample_uniform
-from .problem import ProblemSpec, check_constraints, evaluate_linear
+from .blackbox import OK, EvalCounter, EvalHarness, EvalRecord, sample_uniform
+from .problem import ProblemSpec, check_constraints, evaluate_linear, require_valid
 from .trace import TraceRecorder, _improves
 
 
-class BudgetExhausted(Exception):
-    """The evaluation budget is spent; the requested call was not made."""
+class Stop(Exception):
+    """The run is over; `reason` is objective_target or eval_budget."""
+
+    def __init__(self, reason: str):
+        super().__init__(reason)
+        self.reason = reason
 
 
 class Sample(NamedTuple):
@@ -29,6 +42,19 @@ class Sample(NamedTuple):
     y: tuple[float, ...]
     phi: float
     feasible: bool
+
+
+@dataclass
+class RunResult:
+    problem: str
+    solver: str
+    best_x: tuple[float, ...] | None
+    best_y: tuple[float, ...] | None
+    best_phi: float | None
+    feasible_found: bool
+    stop_reason: str  # objective_target | eval_budget | max_iterations
+    counter: EvalCounter
+    iterations: list = field(default_factory=list)  # cnma's IterationRecords
 
 
 class Session:
@@ -41,6 +67,15 @@ class Session:
         objective_target: float | None = None,
         trace: TraceRecorder | None = None,
     ):
+        require_valid(problem)
+        if eval_budget < 1:
+            raise ValueError(f"eval_budget must be at least 1, got {eval_budget!r}")
+        if objective_target is not None and not (
+            isinstance(objective_target, Real) and math.isfinite(objective_target)
+        ):
+            raise ValueError(
+                f"objective_target must be a finite number, got {objective_target!r}"
+            )
         self.problem = problem
         self.sign = -1.0 if problem.sense == "maximize" else 1.0  # phi -> minimized key
         self.lower = np.array([v.lower for v in problem.inputs])
@@ -71,10 +106,41 @@ class Session:
     def draw(self) -> np.ndarray:
         return sample_uniform(self.problem.inputs, 1, self.rng)[0]
 
-    def evaluate(self, x, event: str) -> tuple[EvalRecord, Sample | None]:
-        """One accounted blackbox call plus its trace row(s)."""
+    def check(self) -> None:
+        """Raise `Stop` if the run is over: the target first, then the budget."""
+        if self.target_hit:
+            raise Stop("objective_target")
         if self.harness.counter.total_calls >= self.budget:
-            raise BudgetExhausted
+            raise Stop("eval_budget")
+
+    def drive(self, body: Callable[[], None], iterations: list | None = None) -> RunResult:
+        """Run `body` until it raises `Stop` or returns, then close the harness.
+
+        A body that returns has run out of iterations.  `iterations` is the
+        list the body fills with its per-iteration records, if it keeps any.
+        """
+        try:
+            body()
+            reason = "objective_target" if self.target_hit else "max_iterations"
+        except Stop as stop:
+            reason = stop.reason
+        finally:
+            self.harness.close()
+        return RunResult(
+            problem=self.problem.name,
+            solver=self.solver,
+            best_x=self.best_x,
+            best_y=self.best_y,
+            best_phi=self.best_phi,
+            feasible_found=self.best_phi is not None,
+            stop_reason=reason,
+            counter=self.harness.counter,
+            iterations=iterations or [],
+        )
+
+    def evaluate(self, x, event: str) -> tuple[EvalRecord, Sample | None]:
+        """One accounted blackbox call plus its trace row(s); `check` comes first."""
+        self.check()
         rec = self.harness.evaluate(x)
         # wall_ms stays 0 in emitted rows: per-call timing is scheduler noise
         # and would break byte-identical reruns; EvalRecord keeps the real one

@@ -8,8 +8,10 @@ Every successful evaluation row (init/eval/random_fill) is immediately
 followed by a feasible or infeasible verdict row repeating its x/y/phi, so
 best_phi can be replayed exactly: it updates at feasible rows and nowhere
 else.  Verdict rows carry a blank eval_seq; eval_seq is strictly increasing
-over the rows that have one.  Floats are written with repr so a re-run with
-the same seed produces byte-identical data columns.
+over the rows that have one.  The session stops a run only before a call,
+so a run's last row is the verdict or timeout row of its last call.  Floats
+are written with repr so a re-run with the same seed produces byte-identical
+data columns.
 """
 from __future__ import annotations
 

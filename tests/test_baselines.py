@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cnma.baselines import nelder_mead, random_search
+from cnma.loop import CnmaConfig, cnma_run
 from cnma.problem import (
     BlackboxRef,
     LinearConstraint,
@@ -132,5 +133,9 @@ class TestNelderMead:
 
 
 def test_budget_below_one_rejected():
-    with pytest.raises(ValueError):
-        random_search(rosenbrock_problem(), eval_budget=0, seed=0)
+    for budget in (0, -3):
+        for search in (random_search, nelder_mead):
+            with pytest.raises(ValueError, match="eval_budget"):
+                search(rosenbrock_problem(), eval_budget=budget, seed=0)
+        with pytest.raises(ValueError, match="eval_budget"):
+            cnma_run(rosenbrock_problem(), CnmaConfig(eval_budget=budget))

@@ -197,7 +197,8 @@ class TestRunUsageErrors:
         assert "turbo" in err
 
     @pytest.mark.parametrize("option", [
-        {"batch_size": 0}, {"epochs": -5}, {"net_hidden": [0]}])
+        {"batch_size": 0}, {"epochs": -5}, {"net_hidden": [0]},
+        {"max_iterations": -1}, {"objective_target": float("nan")}])
     def test_bad_config_value_exits_before_any_call(self, tmp_path, capsys,
                                                     monkeypatch, option):
         def no_calls(*args, **kwargs):
@@ -214,6 +215,18 @@ class TestRunUsageErrors:
         )
         assert code == 2
         assert next(iter(option)) in err
+        assert not trace.exists()
+
+    @pytest.mark.parametrize("solver", ["cnma", "random", "nelder-mead"])
+    def test_non_finite_target(self, tmp_path, capsys, solver):
+        trace = tmp_path / "t.csv"
+        code, _, err = run_cli(
+            capsys, "run", "--problem", "rosenbrock", "--solver", solver,
+            "--budget", "5", "--seed", "1", "--target", "nan",
+            "--trace", str(trace),
+        )
+        assert code == 2
+        assert "objective_target" in err
         assert not trace.exists()
 
 

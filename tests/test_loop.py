@@ -81,7 +81,7 @@ class TestUnsatisfiable:
         events = [r.event for r in trace.rows]
         assert events.count("milp_infeasible") == 4
         assert events.count("random_fill") == 4
-        assert res.n_samples == 2 + 4
+        assert res.counter.ok == 2 + 4
         assert res.counter.total_calls == 6
         assert validate_trace(trace.to_trace(), "minimize") == []
 
@@ -94,7 +94,7 @@ class TestLearningFromFailure:
         res = cnma_run(problem, fast_config(max_iterations=6, seed=3))
         evaluated = [r for r in res.iterations if r.eval_status == "ok"]
         fills = sum(1 for r in res.iterations if r.outcome == "random")
-        assert res.n_samples == 2 + len(evaluated) + fills
+        assert res.counter.ok == 2 + len(evaluated) + fills
         for r in evaluated:
             assert r.actual_y is not None
             assert r.outcome == ("success" if r.feasible else "failure")
@@ -119,7 +119,6 @@ class TestAccounting:
         res = cnma_run(problem, fast_config(max_iterations=5), trace)
         c = res.counter
         assert c.total_calls == c.ok + c.timeouts + c.errors
-        assert res.n_samples == c.ok
         seqs = [r.eval_seq for r in trace.rows if r.eval_seq is not None]
         assert max(seqs) == c.total_calls
         eval_rows = [r for r in trace.rows if r.event in ("init", "eval", "random_fill")]
@@ -143,7 +142,7 @@ class TestDeterminism:
             traces.append(trace)
         assert results[0].best_phi == results[1].best_phi
         assert results[0].best_x == results[1].best_x
-        assert results[0].n_samples == results[1].n_samples
+        assert results[0].counter == results[1].counter
         assert traces[0].rows == traces[1].rows
 
 
@@ -195,6 +194,54 @@ class TestStopping:
         assert res.stop_reason == "max_iterations"
         assert res.iterations == []
         assert res.counter.total_calls == 2
+
+
+SOLVERS = ("cnma", "random", "nelder-mead")
+
+
+def run_solver(solver, problem, budget, trace, target=None):
+    if solver == "cnma":
+        config = fast_config(eval_budget=budget, max_iterations=100, objective_target=target)
+        return cnma_run(problem, config, trace)
+    search = random_search if solver == "random" else nelder_mead
+    return search(problem, budget, seed=1, objective_target=target, trace=trace)
+
+
+class TestStopRule:
+    """One stop rule for every solver: the session ends the run."""
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_budget_stop_ends_on_the_last_call(self, solver):
+        problem = rosenbrock_problem(
+            constraints=[LinearConstraint(linear((1.0, "f")), "<=", 100.0)]
+        )
+        trace = TraceRecorder("t", solver, problem.input_names(), problem.output_names())
+        res = run_solver(solver, problem, 9, trace)
+        assert res.stop_reason == "eval_budget"
+        assert res.counter.total_calls == 9
+        # nothing follows the verdict or timeout row of call number 9
+        last = trace.rows[-1]
+        assert last.event in ("feasible", "infeasible", "timeout")
+        call = last if last.event == "timeout" else trace.rows[-2]
+        assert call.eval_seq == 9
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_target_on_the_last_budgeted_call(self, solver):
+        problem = rosenbrock_problem()
+        trace = TraceRecorder("t", solver, problem.input_names(), problem.output_names())
+        run_solver(solver, problem, 12, trace)
+        # the last call that improved the incumbent, and the value it reached
+        seq, best = None, None
+        for row in trace.rows:
+            if row.eval_seq is not None:
+                call = row.eval_seq
+            if row.event == "feasible" and row.best_phi != best:
+                seq, best = call, row.best_phi
+        assert seq > 1
+        res = run_solver(solver, problem, seq, None, target=best)
+        assert res.stop_reason == "objective_target"
+        assert res.counter.total_calls == seq
+        assert res.best_phi == best
 
 
 class TestIntegerInputs:

@@ -202,6 +202,16 @@ class TestRoundTrip:
         with pytest.raises(ProblemFormatError):
             parse_problem({"name": "broken", "inputs": []})
 
+    @pytest.mark.parametrize("key", ["blackbox", "objective", "constraints"])
+    def test_array_in_place_of_an_object_rejected(self, key):
+        doc = problem_to_dict(tiny_problem())
+        if key == "constraints":
+            doc[key][0] = [doc[key][0]]  # one constraint
+        else:
+            doc[key] = [doc[key]]
+        with pytest.raises(ProblemFormatError, match="malformed"):
+            parse_problem(doc)
+
     def test_invalid_after_parse_rejected(self):
         doc = problem_to_dict(tiny_problem())
         doc["inputs"][0]["lower"] = 5.0  # above upper
