@@ -1,25 +1,26 @@
-"""Blackbox evaluation harness: timeouts, accounting, subprocess protocol.
+"""Blackbox evaluation harness: timeouts, accounting, one line protocol.
 
-Builtin functions run in a persistent worker process so that a wall-clock
-timeout can actually kill a non-terminating evaluation (a thread could not
-be).  After a kill the worker is respawned on the next call; the parent-side
-counter and sequence numbers are untouched by the kill.
-
-Subprocess blackboxes speak a line protocol on stdin/stdout:
+Every blackbox runs in a child process, so that a wall-clock timeout can
+actually kill a non-terminating evaluation (a thread could not be), and
+every child speaks one line protocol on its stdin/stdout:
 
     request:   EVAL v1 <n> <x1> ... <xn>\n
     response:  OK <m> <y1> ... <ym>\n   or   FAIL <message>\n
 
-Numbers are decimal text at full precision (repr round-trip).  A response
-that cannot be parsed yields an Error outcome and kills the child, since a
-later line could be the answer to this request; a timeout kills it too.
+A builtin's child is a fork of this process running `cnma.serve.serve`; a
+command's child is the command.  Both start with the harness and again on
+the first call after a kill or an exit; the counter and sequence numbers
+are untouched by either.  Numbers are decimal text at full precision (repr
+round-trip).  A response that cannot be parsed yields an Error outcome and
+kills the child, since a later line could be the answer to this request; a
+timeout kills it too.
 """
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import selectors
 import shlex
+import signal
 import subprocess
 import threading
 import time
@@ -28,6 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .benchmarks import Builtin, get_builtin
 from .problem import BlackboxRef, VariableSpec
 
 OK = "ok"
@@ -100,128 +102,72 @@ def resolve_timeout(requested: float) -> float:
     return requested
 
 
-def _worker_main(conn, parent_end, builtin_id: str, params: dict) -> None:
-    from .benchmarks import get_builtin
+class _Fork:
+    """A fork of this process running `serve`'s loop on two pipes.
 
-    # without this, the pipe would stay open here and never reach end of
-    # file, and the worker would outlive a parent that died without closing
-    parent_end.close()
+    It has the part of `subprocess.Popen` the line path uses.  A fork skips
+    the ~0.3 s interpreter start, which would count against the timeout of
+    the first call after each (re)start.
+    """
 
-    try:
-        fn = get_builtin(builtin_id).fn
-    except Exception as exc:  # unresolvable id: report on every request
-        fn = None
-        resolve_error = f"{type(exc).__name__}: {exc}"
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            break
-        if msg is None:
-            break
-        if fn is None:
-            conn.send((ERROR, resolve_error))
-            continue
-        try:
-            y = fn(np.asarray(msg, dtype=float), **params)
-            conn.send((OK, [float(v) for v in np.atleast_1d(np.asarray(y, dtype=float))]))
-        except Exception as exc:
-            conn.send((ERROR, f"{type(exc).__name__}: {exc}"))
+    def __init__(self, builtin: Builtin, params: dict):
+        from .serve import serve  # not at the top: `python -m cnma.serve` imports this module
 
-
-class _BuiltinBackend:
-    """Persistent forked worker evaluating a registered builtin."""
-
-    def __init__(self, ref: BlackboxRef):
-        from .benchmarks import get_builtin
-
-        get_builtin(ref.target)  # fail fast on unknown ids
-        self._ref = ref
-        try:
-            self._ctx = mp.get_context("fork")
-        except ValueError:  # pragma: no cover - non-posix fallback
-            self._ctx = mp.get_context("spawn")
-        self._proc = None
-        self._conn = None
-        # spawn eagerly so fork cost is never attributed to the first call
-        self._ensure_worker()
-
-    def _ensure_worker(self) -> None:
-        if self._proc is not None and self._proc.is_alive():
-            return
-        self._teardown()
-        parent, child = self._ctx.Pipe()
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(child, parent, self._ref.target, dict(self._ref.params)),
-            daemon=True,
-        )
-        proc.start()
-        child.close()
-        self._proc, self._conn = proc, parent
-
-    def _teardown(self) -> None:
-        if self._conn is not None:
+        req_r, req_w = os.pipe()
+        resp_r, resp_w = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            # the pipes become stdin and stdout and nothing else stays open,
+            # so the loop ends by end of file even if the parent dies
             try:
-                self._conn.close()
-            except OSError:
-                pass
-        if self._proc is not None and self._proc.is_alive():
-            self._proc.kill()
-            self._proc.join()
+                os.dup2(req_r, 0)
+                os.dup2(resp_w, 1)
+                os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+                serve(builtin.fn, builtin.in_arity, params, open(0), open(1, "w"))
+                os._exit(0)
+            finally:
+                os._exit(1)  # reached only by an exception
+        os.close(req_r)
+        os.close(resp_w)
+        self.stdin = open(req_w, "wb", buffering=0)
+        self.stdout = open(resp_r, "rb", buffering=0)
+        self.returncode: int | None = None
+
+    def poll(self, flags: int = os.WNOHANG) -> int | None:
+        if self.returncode is None:
+            pid, status = os.waitpid(self.pid, flags)
+            if pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
+    def wait(self) -> int:
+        return self.poll(0)
+
+    def kill(self) -> None:
+        os.kill(self.pid, signal.SIGKILL)
+
+
+class _LineBackend:
+    """One child speaking the line protocol on its stdin and stdout.
+
+    The child starts with the backend and again on the first call after it
+    was killed or exited.  Only the start differs by kind; perfbench wraps
+    the two start hooks, `_ensure_worker` and `_ensure_child`, by name.
+    """
+
+    def __init__(self):
         self._proc = None
-        self._conn = None
-
-    def call(self, x: Sequence[float], timeout: float) -> tuple[str, list | str]:
-        self._ensure_worker()
-        try:
-            self._conn.send(list(x))
-        except (BrokenPipeError, OSError):
-            self._teardown()
-            return ERROR, "worker process died"
-        if not self._conn.poll(timeout):
-            self._teardown()
-            return TIMEOUT, f"no result within {timeout} s"
-        try:
-            status, payload = self._conn.recv()
-        except (EOFError, OSError):
-            self._teardown()
-            return ERROR, "worker process died"
-        return status, payload
-
-    def close(self) -> None:
-        if self._conn is not None:
-            try:
-                self._conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        if self._proc is not None:
-            self._proc.join(timeout=1.0)
-        self._teardown()
-
-
-class _SubprocessBackend:
-    """Line-protocol child process, killed and respawned on timeout."""
-
-    def __init__(self, ref: BlackboxRef):
-        self._argv = shlex.split(ref.target)
-        if not self._argv:
-            raise ValueError("empty subprocess command")
-        self._proc: subprocess.Popen | None = None
         self._buffer = b""
+        self._start()
 
-    def _ensure_child(self) -> None:
-        if self._proc is not None and self._proc.poll() is None:
-            return
-        self._kill()
-        self._buffer = b""
-        self._proc = subprocess.Popen(
-            self._argv,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            bufsize=0,
-        )
+    def _start(self) -> None:
+        """Set `self._proc` to a newly started child."""
+        raise NotImplementedError
+
+    def _ensure(self) -> None:
+        if self._proc is None or self._proc.poll() is not None:
+            self._kill()
+            self._start()
 
     def _kill(self) -> None:
         if self._proc is not None and self._proc.poll() is None:
@@ -229,12 +175,12 @@ class _SubprocessBackend:
             self._proc.wait()
         if self._proc is not None:
             for stream in (self._proc.stdin, self._proc.stdout):
-                if stream is not None:
-                    try:
-                        stream.close()
-                    except OSError:
-                        pass
+                try:
+                    stream.close()
+                except OSError:
+                    pass
         self._proc = None
+        self._buffer = b""
 
     def _read_line(self, deadline: float) -> bytes | None:
         """One protocol line, or None on deadline expiry."""
@@ -257,7 +203,10 @@ class _SubprocessBackend:
         return line
 
     def call(self, x: Sequence[float], timeout: float) -> tuple[str, list | str]:
-        self._ensure_child()
+        try:
+            self._ensure()
+        except ValueError as exc:  # a command that no longer starts
+            return ERROR, str(exc)
         request = "EVAL v1 {} {}\n".format(
             len(x), " ".join(repr(float(v)) for v in x)
         )
@@ -267,12 +216,12 @@ class _SubprocessBackend:
             self._proc.stdin.flush()
         except (BrokenPipeError, OSError):
             self._kill()
-            return ERROR, "subprocess exited"
+            return ERROR, "blackbox process exited"
         try:
             line = self._read_line(deadline)
         except EOFError:
             self._kill()
-            return ERROR, "subprocess exited"
+            return ERROR, "blackbox process exited"
         if line is None:
             self._kill()
             return TIMEOUT, f"no result within {timeout} s"
@@ -284,16 +233,58 @@ class _SubprocessBackend:
             return ERROR, f"parse: {exc}"
 
     def close(self) -> None:
+        """Close the child's stdin, give it 0.5 s to end, then kill it."""
         if self._proc is not None and self._proc.poll() is None:
             try:
                 self._proc.stdin.close()
             except OSError:
                 pass
-            try:
-                self._proc.wait(timeout=0.5)
-            except subprocess.TimeoutExpired:
-                pass
+            end = time.monotonic() + 0.5
+            while self._proc.poll() is None and time.monotonic() < end:
+                time.sleep(0.001)
         self._kill()
+
+
+class _BuiltinBackend(_LineBackend):
+    """A registered builtin, served by a fork of this process."""
+
+    def __init__(self, ref: BlackboxRef):
+        self._builtin = get_builtin(ref.target)  # fail fast on unknown ids
+        self._params = dict(ref.params)
+        super().__init__()
+
+    def _start(self) -> None:
+        self._ensure_worker()
+
+    def _ensure_worker(self) -> None:
+        self._proc = _Fork(self._builtin, self._params)
+
+
+class _SubprocessBackend(_LineBackend):
+    """An external command, started with `subprocess.Popen`."""
+
+    def __init__(self, ref: BlackboxRef):
+        self._argv = shlex.split(ref.target)
+        if not self._argv:
+            raise ValueError("empty subprocess command")
+        super().__init__()
+
+    def _start(self) -> None:
+        self._ensure_child()
+
+    def _ensure_child(self) -> None:
+        try:
+            self._proc = subprocess.Popen(
+                self._argv,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL,
+                bufsize=0,
+            )
+        except OSError as exc:
+            raise ValueError(
+                f"cannot start blackbox command '{shlex.join(self._argv)}': {exc}"
+            ) from None
 
 
 class _ProtocolError(ValueError):

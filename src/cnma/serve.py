@@ -4,9 +4,10 @@ Usage:
     python -m cnma.serve <builtin> [json-params]
 
 Reads requests of the form ``EVAL v1 <n> <x1> ... <xn>`` and answers with
-``OK <m> <y1> ... <ym>`` or ``FAIL <message>``.  One response per request,
-flushed immediately.  Exits on EOF.  This is both a working example of the
-external-blackbox contract and the far end of the round-trip tests.
+``OK <m> <y1> ... <ym>`` or ``FAIL <message>``: exactly one line per
+request, flushed immediately.  Exits on EOF.  This is a working example of
+the external-blackbox contract, and `serve` is also the loop that the
+harness's forked child runs for a builtin blackbox.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from .benchmarks import UnknownBuiltinError, get_builtin
 
 
 def respond_to(line: str, fn, arity: int, params: dict) -> str:
+    """The one-line answer to one request line."""
     parts = line.split()
     if len(parts) < 3 or parts[0] != "EVAL" or parts[1] != "v1":
         return "FAIL malformed request"
@@ -33,9 +35,20 @@ def respond_to(line: str, fn, arity: int, params: dict) -> str:
         return "FAIL malformed number"
     try:
         y = fn(x, **params)
+        return "OK " + str(len(y)) + " " + " ".join(repr(float(v)) for v in y)
     except Exception as exc:  # noqa: BLE001 - report, do not crash the server
-        return f"FAIL {exc}"
-    return "OK " + str(len(y)) + " " + " ".join(repr(float(v)) for v in y)
+        text = f"FAIL {type(exc).__name__}: {exc}".encode("ascii", "backslashreplace")
+        return " ".join(text.decode("ascii").split())
+
+
+def serve(fn, arity: int, params: dict, requests, responses) -> None:
+    """Answer each request line read from `requests` until end of file."""
+    for line in requests:
+        line = line.strip()
+        if not line:
+            continue
+        responses.write(respond_to(line, fn, arity, params) + "\n")
+        responses.flush()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -58,14 +71,7 @@ def main(argv: list[str] | None = None) -> int:
         if not isinstance(params, dict):
             print("params must be a JSON object", file=sys.stderr)
             return 2
-    for line in sys.stdin:
-        line = line.strip()
-        if not line:
-            continue
-        sys.stdout.write(
-            respond_to(line, builtin.fn, builtin.in_arity, params) + "\n"
-        )
-        sys.stdout.flush()
+    serve(builtin.fn, builtin.in_arity, params, sys.stdin, sys.stdout)
     return 0
 
 

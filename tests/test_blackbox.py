@@ -1,4 +1,7 @@
+import io
 import math
+import os
+import signal
 import sys
 import time
 
@@ -14,6 +17,7 @@ from cnma.blackbox import (
     sample_uniform,
 )
 from cnma.problem import BlackboxRef, VariableSpec
+from cnma.serve import respond_to, serve
 
 
 def polak3_reference(x):
@@ -256,6 +260,91 @@ class TestSubprocessFaults:
         assert (c.total_calls, c.ok, c.timeouts, c.errors) == (
             3, 2, int(status == TIMEOUT), int(status == ERROR)
         )
+
+
+ROSENBROCK_REFS = {
+    "builtin": BlackboxRef("builtin", "rosenbrock"),
+    "subprocess": BlackboxRef("subprocess", f"{sys.executable} -m cnma.serve rosenbrock"),
+}
+
+
+class TestDeadChild:
+    @pytest.mark.parametrize("kind", sorted(ROSENBROCK_REFS))
+    def test_child_killed_between_calls_is_replaced(self, kind):
+        with EvalHarness(ROSENBROCK_REFS[kind], 1, timeout=10.0) as h:
+            first = h.evaluate([0.5, 0.5])
+            pid = h._backend._proc.pid
+            os.kill(pid, signal.SIGKILL)
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+            second = h.evaluate([1.0, 1.0])
+            respawned = h._backend._proc.pid
+        assert (first.status, first.y) == (OK, (6.5,))
+        assert (second.status, second.y) == (OK, (0.0,))
+        assert second.seq == first.seq + 1
+        assert respawned != pid
+        c = h.counter
+        assert (c.total_calls, c.ok, c.timeouts, c.errors) == (2, 2, 0, 0)
+
+    def test_command_gone_before_a_respawn_is_an_error(self, tmp_path):
+        command = tmp_path / "sim"
+        command.write_text(f"#!/bin/sh\nexec {sys.executable} -m cnma.serve rosenbrock\n")
+        command.chmod(0o755)
+        with EvalHarness(BlackboxRef("subprocess", str(command)), 1, timeout=10.0) as h:
+            first = h.evaluate([1.0, 1.0])
+            command.unlink()
+            pid = h._backend._proc.pid
+            os.kill(pid, signal.SIGKILL)
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+            second = h.evaluate([1.0, 1.0])
+        assert (first.status, first.y) == (OK, (0.0,))
+        assert second.status == ERROR
+        assert f"cannot start blackbox command '{command}'" in second.message
+        assert (second.seq, h.counter.total_calls, h.counter.errors) == (2, 2, 1)
+
+    def test_fail_answer_keeps_the_child(self):
+        # a builtin that raises answers FAIL; the same child serves the next call
+        with harness_for("rosenbrock", 1, params={"bogus": 1}) as h:
+            pid = h._backend._proc.pid
+            recs = [h.evaluate([1.0, 1.0]) for _ in range(2)]
+            assert h._backend._proc.pid == pid
+        assert [r.status for r in recs] == [ERROR, ERROR]
+        assert recs[0].message.startswith("TypeError: ")
+        assert "bogus" in recs[0].message
+
+
+def raising(message):
+    def fn(x):
+        raise ValueError(message)
+
+    return fn
+
+
+class TestServe:
+    @pytest.mark.parametrize(
+        "fn, answer",
+        [
+            (raising("line one\nline two"), "FAIL ValueError: line one line two"),
+            (raising("caf\u00e9\r\n"), "FAIL ValueError: caf\\xe9"),
+            (lambda x: 3.0, "FAIL TypeError: object of type 'float' has no len()"),
+            (lambda x: ["high"], "FAIL ValueError: could not convert string to float: 'high'"),
+        ],
+        ids=["multi-line", "non-ascii", "scalar", "non-number"],
+    )
+    def test_any_exception_is_one_fail_line(self, fn, answer):
+        assert respond_to("EVAL v1 1 0.5", fn, 1, {}) == answer
+
+    def test_one_answer_per_request(self):
+        def fn(x):
+            if x[0] < 0:
+                raise ValueError("negative\ninput")
+            return [x[0]]
+
+        requests = io.StringIO("EVAL v1 1 1.0\nEVAL v1 1 -1.0\n\nEVAL v1 1 2.5\n")
+        responses = io.StringIO()
+        serve(fn, 1, {}, requests, responses)
+        assert responses.getvalue().splitlines() == [
+            "OK 1 1.0", "FAIL ValueError: negative input", "OK 1 2.5"
+        ]
 
 
 class TestSampleUniform:

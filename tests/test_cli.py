@@ -229,6 +229,23 @@ class TestRunUsageErrors:
         assert "objective_target" in err
         assert not trace.exists()
 
+    @pytest.mark.parametrize("solver", ["cnma", "random"])
+    def test_command_that_cannot_start(self, tmp_path, capsys, unsat_problem, solver):
+        with open(unsat_problem) as fh:
+            doc = json.load(fh)
+        doc["blackbox"] = {"kind": "subprocess", "command": "/nonexistent/sim --fast"}
+        problem = tmp_path / "missing.json"
+        problem.write_text(json.dumps(doc))
+        trace = tmp_path / "t.csv"
+        code, _, err = run_cli(
+            capsys, "run", "--problem", str(problem), "--solver", solver,
+            "--budget", "5", "--seed", "1", "--trace", str(trace),
+        )
+        assert code == 2
+        assert "/nonexistent/sim --fast" in err
+        assert "Traceback" not in err
+        assert not trace.exists()
+
 
 class TestReport:
     def make_trace(self, capsys, tmp_path, solver, seed, budget=10,

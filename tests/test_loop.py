@@ -1,5 +1,4 @@
 import dataclasses
-import multiprocessing as mp
 import os
 import signal
 import subprocess
@@ -385,7 +384,7 @@ class TestConfig:
 
 SRC = str(Path(cnma.__file__).resolve().parent.parent)
 
-# opens a run as `cnma_run` does, which starts the builtin worker, then waits
+# opens a run as `cnma_run` does, which forks the builtin's child, then waits
 OPEN_RUN = """
 import time
 from cnma.benchmarks import builtin_problem_path
@@ -409,24 +408,24 @@ def running(pid: int) -> bool:
 
 @pytest.fixture
 def workers(monkeypatch):
-    """Every builtin worker process a harness starts, with the real behaviour."""
+    """Every builtin child a harness starts, with the real behaviour."""
     started = []
     ensure = blackbox._BuiltinBackend._ensure_worker
 
     def record(self):
         ensure(self)
-        if not started or started[-1] is not self._proc:
-            started.append(self._proc)
+        started.append(self._proc)
 
     monkeypatch.setattr(blackbox._BuiltinBackend, "_ensure_worker", record)
     return started
 
 
 def assert_no_child_left(procs):
+    """Each child was reaped: its pid is neither our child nor a process."""
     assert procs
-    assert mp.active_children() == []
     for proc in procs:
-        assert not proc.is_alive()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(proc.pid, os.WNOHANG)
         with pytest.raises(ProcessLookupError):
             os.kill(proc.pid, 0)
 
@@ -439,7 +438,7 @@ class TestNoChildLeft:
         assert res.stop_reason == "max_iterations"
         assert len(workers) == 1
         assert_no_child_left(workers)
-        assert workers[0].exitcode == 0  # it left on the None message
+        assert workers[0].returncode == 0  # it left on end of file
 
     def test_no_child_outlives_an_exhausted_budget(self, workers):
         res = cnma_run(rosenbrock_problem(), fast_config(eval_budget=4, max_iterations=10))
@@ -485,8 +484,7 @@ class TestNoChildLeft:
 
         def record(self):
             ensure(self)
-            if not children or children[-1] is not self._proc:
-                children.append(self._proc)
+            children.append(self._proc)
 
         monkeypatch.setattr(blackbox._SubprocessBackend, "_ensure_child", record)
         res = cnma_run(problem, fast_config(eval_budget=5))
@@ -494,7 +492,7 @@ class TestNoChildLeft:
         assert len(children) == 1
         # close() gives the child 0.5 s after closing its stdin, then kills it
         assert children[0].returncode == 0
-        assert mp.active_children() == []
+        assert_no_child_left(children)
 
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
     def test_worker_exits_when_the_parent_is_killed(self):
