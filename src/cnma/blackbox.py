@@ -17,8 +17,9 @@ timeout kills it too.
 """
 from __future__ import annotations
 
+import math
 import os
-import selectors
+import select
 import shlex
 import signal
 import subprocess
@@ -37,6 +38,7 @@ TIMEOUT = "timeout"
 ERROR = "error"
 
 TIMEOUT_ENV_VAR = "CNMA_EVAL_TIMEOUT_SECS"
+_POLL_SLICE_MS = 2**31 - 1  # the longest wait `poll` takes, about 24.8 days
 
 
 @dataclass(frozen=True)
@@ -80,22 +82,23 @@ def sample_uniform(
     thread one stream through repeated draws.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    cols = []
-    for v in inputs:
-        draws = rng.uniform(v.lower, v.upper, size=int(n))
-        if v.kind == "integer":
-            draws = np.clip(np.rint(draws), v.lower, v.upper)
-        cols.append(draws)
-    return np.column_stack(cols) if cols else np.empty((int(n), 0))
+    lower = np.array([v.lower for v in inputs], dtype=float)
+    upper = np.array([v.upper for v in inputs], dtype=float)
+    # one call, drawn variable by variable: the stream a per-variable loop reads
+    draws = rng.uniform(lower[:, None], upper[:, None], size=(len(inputs), int(n))).T
+    ints = [i for i, v in enumerate(inputs) if v.kind == "integer"]
+    if ints:
+        draws[:, ints] = np.clip(np.rint(draws[:, ints]), lower[ints], upper[ints])
+    return draws
 
 
 def resolve_timeout(requested: float) -> float:
-    """Apply the CNMA_EVAL_TIMEOUT_SECS environment override if parseable."""
+    """Apply the CNMA_EVAL_TIMEOUT_SECS override if it is a positive finite number."""
     raw = os.environ.get(TIMEOUT_ENV_VAR)
     if raw:
         try:
             value = float(raw)
-            if value > 0:
+            if value > 0 and math.isfinite(value):
                 return value
         except ValueError:
             pass
@@ -184,21 +187,19 @@ class _LineBackend:
 
     def _read_line(self, deadline: float) -> bytes | None:
         """One protocol line, or None on deadline expiry."""
-        sel = selectors.DefaultSelector()
-        sel.register(self._proc.stdout, selectors.EVENT_READ)
-        try:
-            while b"\n" not in self._buffer:
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    return None
-                if not sel.select(remaining):
-                    return None
-                chunk = os.read(self._proc.stdout.fileno(), 65536)
-                if not chunk:
-                    raise EOFError
-                self._buffer += chunk
-        finally:
-            sel.close()
+        # a poll object makes no system call of its own, unlike an epoll selector
+        poller = select.poll()
+        poller.register(self._proc.stdout, select.POLLIN)
+        while b"\n" not in self._buffer:
+            remaining = deadline - time.perf_counter()
+            if remaining <= 0:
+                return None
+            if not poller.poll(min(remaining * 1000.0, _POLL_SLICE_MS)):
+                continue  # a slice ran out; the deadline decides
+            chunk = os.read(self._proc.stdout.fileno(), 65536)
+            if not chunk:
+                raise EOFError
+            self._buffer += chunk
         line, self._buffer = self._buffer.split(b"\n", 1)
         return line
 

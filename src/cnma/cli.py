@@ -3,9 +3,10 @@
 Two subcommands:
 
 * ``cnma run`` executes one solver on one problem, writes the trace CSV and
-  prints a JSON summary record.  Exit 0 on completion (even when no feasible
-  point was found; the summary says so), 2 on configuration errors, 1 on
-  runtime failures.
+  prints a JSON summary record.  The trace streams to a
+  ``<trace>.<hex>.partial`` file and takes its name when the solver
+  returns.  Exit 0 on completion (even when no feasible point was found;
+  the summary says so), 2 on configuration errors, 1 on runtime failures.
 * ``cnma report`` aggregates one or more trace files into a per-solver table
   (best phi median/min/max, evaluations to first feasible, evaluations to
   best).
@@ -15,12 +16,15 @@ Seeds are explicit flags everywhere; nothing is seeded from the clock.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import statistics
 import sys
 import time
 import traceback
 from pathlib import Path
+from typing import Iterator, TextIO
 
 from .baselines import nelder_mead, random_search
 from .benchmarks import builtin_problem_names, builtin_problem_path
@@ -90,6 +94,31 @@ def _load_overrides(path: str | None) -> dict:
     return loaded
 
 
+@contextlib.contextmanager
+def _trace_sink(path: Path) -> Iterator[TextIO]:
+    """The text file a run's rows stream to, found at `path` once the block ends.
+
+    Rows go to a uniquely named `<trace>.<hex>.partial` beside the trace,
+    renamed over it when the block ends and deleted when anything,
+    `BaseException` included, is raised: a failed run leaves no trace and
+    overwrites none.  A symlink is followed, so the file it names is the
+    one replaced.  A path that exists but is no regular file (a pipe,
+    `/dev/stdout`) has nothing to replace, so rows go to it directly.
+    """
+    if path.exists() and not path.is_file():
+        with open(path, "w", newline="") as sink:
+            yield sink
+        return
+    target = Path(os.path.realpath(path))
+    partial = target.with_name(f"{target.name}.{os.urandom(4).hex()}.partial")
+    try:
+        with open(partial, "x", newline="") as sink:
+            yield sink
+        os.replace(partial, target)
+    finally:
+        partial.unlink(missing_ok=True)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     problem = _resolve_problem(args.problem)
     overrides = _load_overrides(args.config)
@@ -97,24 +126,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise _UsageError("--config overrides only apply to --solver cnma")
 
     run_id = args.run_id or f"{problem.name}-{args.solver}-s{args.seed}"
-    recorder = TraceRecorder(
-        run_id, args.solver, problem.input_names(), problem.output_names()
-    )
-    started = time.perf_counter()
-    if args.solver == "cnma":
-        overrides.update(eval_budget=args.budget, seed=args.seed)
-        if args.target is not None:
-            overrides["objective_target"] = args.target
-        config = CnmaConfig.for_problem(problem, **overrides)
-        result = cnma_run(problem, config, recorder)
-    elif args.solver == "random":
-        result = random_search(problem, args.budget, args.seed, args.target, recorder)
-    else:
-        result = nelder_mead(problem, args.budget, args.seed, args.target, recorder)
-    wall = time.perf_counter() - started
-
     trace_path = Path(args.trace) if args.trace else Path(f"{run_id}.csv")
-    recorder.write(trace_path)
+    with _trace_sink(trace_path) as sink:
+        recorder = TraceRecorder(
+            run_id, args.solver, problem.input_names(), problem.output_names(), sink
+        )
+        started = time.perf_counter()
+        if args.solver == "cnma":
+            overrides.update(eval_budget=args.budget, seed=args.seed)
+            if args.target is not None:
+                overrides["objective_target"] = args.target
+            config = CnmaConfig.for_problem(problem, **overrides)
+            result = cnma_run(problem, config, recorder)
+        elif args.solver == "random":
+            result = random_search(problem, args.budget, args.seed, args.target, recorder)
+        else:
+            result = nelder_mead(problem, args.budget, args.seed, args.target, recorder)
+        wall = time.perf_counter() - started
 
     counter = result.counter
     summary = {

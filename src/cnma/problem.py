@@ -201,8 +201,10 @@ def validate(spec: ProblemSpec) -> list[str]:
         problems.append(f"unknown sense '{spec.sense}'")
     if spec.blackbox.kind not in BLACKBOX_KINDS:
         problems.append(f"unknown blackbox kind '{spec.blackbox.kind}'")
-    if not (spec.eval_timeout > 0):
-        problems.append(f"eval_timeout must be positive, got {spec.eval_timeout}")
+    if not (spec.eval_timeout > 0 and math.isfinite(spec.eval_timeout)):
+        problems.append(
+            f"eval_timeout must be a positive finite number, got {spec.eval_timeout}"
+        )
     return problems
 
 

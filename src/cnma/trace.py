@@ -19,7 +19,7 @@ import csv
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence, TextIO
 
 EVENTS = (
     "init",
@@ -80,15 +80,41 @@ def _fmt(value) -> str:
     return str(value)
 
 
-class TraceRecorder:
-    """Collects rows in memory; write() renders the CSV."""
+def _csv_line(cells: Sequence[str]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
 
-    def __init__(self, run_id: str, solver: str, input_names: Sequence[str], output_names: Sequence[str]):
+
+class TraceRecorder:
+    """Formats each row as it is emitted and writes it to a text sink.
+
+    The sink is a text file the caller opened (`cnma run` streams to its
+    trace file) or, by default, an in-memory buffer that `rows`,
+    `to_trace()` and `write()` read back.  No per-row object is kept.
+    """
+
+    def __init__(
+        self,
+        run_id: str,
+        solver: str,
+        input_names: Sequence[str],
+        output_names: Sequence[str],
+        sink: TextIO | None = None,
+    ):
         self.run_id = run_id
         self.solver = solver
         self.input_names = list(input_names)
         self.output_names = list(output_names)
-        self.rows: list[TraceRow] = []
+        self._sink = io.StringIO(newline="") if sink is None else sink
+        self._blank_x = [""] * len(self.input_names)
+        self._blank_y = [""] * len(self.output_names)
+        # the line a `csv.writer` would write, built without it per row: only
+        # run_id and solver can need quoting, as events are names from EVENTS
+        # and numbers are written with repr (`None` as empty); strip the
+        # terminator only, since a quoted field may hold newlines
+        self._head = _csv_line([run_id, solver])[:-1]
+        self._sink.write(_csv_line(self.header()))
 
     def emit(
         self,
@@ -104,28 +130,22 @@ class TraceRecorder:
     ) -> None:
         if event not in EVENTS:
             raise ValueError(f"unknown trace event '{event}'")
+        xs = self._blank_x
         if x is not None:
-            x = tuple(float(v) for v in x)
-            if len(x) != len(self.input_names):
+            xs = [repr(float(v)) for v in x]
+            if len(xs) != len(self.input_names):
                 raise ValueError("x arity does not match the trace schema")
+        ys = self._blank_y
         if y is not None:
-            y = tuple(float(v) for v in y)
-            if len(y) != len(self.output_names):
+            ys = [repr(float(v)) for v in y]
+            if len(ys) != len(self.output_names):
                 raise ValueError("y arity does not match the trace schema")
-        self.rows.append(
-            TraceRow(
-                self.run_id,
-                self.solver,
-                iteration,
-                eval_seq,
-                event,
-                x,
-                y,
-                None if phi is None else float(phi),
-                None if best_phi is None else float(best_phi),
-                int(wall_ms),
-            )
-        )
+        self._sink.write(",".join([
+            self._head, _fmt(iteration), _fmt(eval_seq), event, *xs, *ys,
+            "" if phi is None else repr(float(phi)),
+            "" if best_phi is None else repr(float(best_phi)),
+            f"{int(wall_ms)}\n",
+        ]))
 
     def header(self) -> list[str]:
         return (
@@ -135,36 +155,28 @@ class TraceRecorder:
             + list(FIXED_TAIL)
         )
 
+    def _text(self) -> str:
+        if not isinstance(self._sink, io.StringIO):
+            raise TypeError("this recorder streams to a file; read it with load_trace")
+        return self._sink.getvalue()
+
     def write(self, path: str | Path) -> None:
-        """The CSV a `csv.writer` would write, built without it per row.
-
-        Only run_id and solver can need quoting: events are names from
-        EVENTS, and numbers are written with repr (`None` as empty).
-        """
-        blank_x = [""] * len(self.input_names)
-        blank_y = [""] * len(self.output_names)
-        heads: dict[tuple[str, str], str] = {}
-
-        def line(r: TraceRow) -> str:
-            head = heads.get((r.run_id, r.solver))
-            if head is None:
-                buf = io.StringIO()
-                csv.writer(buf, lineterminator="\n").writerow([r.run_id, r.solver])
-                # strip the terminator only: a quoted field may hold newlines
-                head = heads[(r.run_id, r.solver)] = buf.getvalue()[:-1]
-            xs = blank_x if r.x is None else map(repr, r.x)
-            ys = blank_y if r.y is None else map(repr, r.y)
-            return ",".join([
-                head, _fmt(r.iteration), _fmt(r.eval_seq), r.event, *xs, *ys,
-                _fmt(r.phi), _fmt(r.best_phi), f"{r.wall_ms}\n",
-            ])
-
+        """Copy an in-memory recorder's CSV to `path`."""
         with open(path, "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerow(self.header())
-            fh.writelines(map(line, self.rows))
+            fh.write(self._text())
+
+    @property
+    def rows(self) -> list[TraceRow]:
+        return self.to_trace().rows
 
     def to_trace(self) -> Trace:
-        return Trace(list(self.input_names), list(self.output_names), list(self.rows))
+        reader = csv.reader(io.StringIO(self._text(), newline=""))
+        next(reader)  # the header, written by __init__
+        return Trace(
+            list(self.input_names),
+            list(self.output_names),
+            _parse_rows(reader, self.input_names, self.output_names, "trace"),
+        )
 
 
 def _parse_header(header: list[str]) -> tuple[list[str], list[str]]:
@@ -210,6 +222,52 @@ def _parse_cell(cell: str, column: str, kind=float):
         raise TraceFormatError(f"column '{column}' has non-{kind.__name__} value '{cell}'") from None
 
 
+def _parse_rows(
+    reader: Iterable[list[str]],
+    input_names: Sequence[str],
+    output_names: Sequence[str],
+    where: str,
+) -> list[TraceRow]:
+    """The rows after the header; `reader` yields the cells of one line each."""
+    d, m = len(input_names), len(output_names)
+    width = len(FIXED_HEAD) + d + m + len(FIXED_TAIL)
+    rows: list[TraceRow] = []
+    for lineno, cells in enumerate(reader, start=2):
+        if len(cells) != width:
+            raise TraceFormatError(
+                f"{where}:{lineno}: expected {width} cells, got {len(cells)}"
+            )
+        run_id, solver, iteration, eval_seq, event = cells[:5]
+        if event not in EVENTS:
+            raise TraceFormatError(f"{where}:{lineno}: unknown event '{event}'")
+        xs = cells[5 : 5 + d]
+        ys = cells[5 + d : 5 + d + m]
+        phi, best_phi, wall = cells[5 + d + m : 5 + d + m + 3]
+        try:
+            x = None if all(c == "" for c in xs) else tuple(
+                _parse_cell(c, f"x:{n}") for c, n in zip(xs, input_names)
+            )
+            y = None if all(c == "" for c in ys) else tuple(
+                _parse_cell(c, f"y:{n}") for c, n in zip(ys, output_names)
+            )
+            row = TraceRow(
+                run_id,
+                solver,
+                _parse_cell(iteration, "iteration", int),
+                _parse_cell(eval_seq, "eval_seq", int),
+                event,
+                x,  # type: ignore[arg-type]
+                y,  # type: ignore[arg-type]
+                _parse_cell(phi, "phi"),
+                _parse_cell(best_phi, "best_phi"),
+                _parse_cell(wall, "wall_ms", int) or 0,
+            )
+        except TraceFormatError as exc:
+            raise TraceFormatError(f"{where}:{lineno}: {exc}") from None
+        rows.append(row)
+    return rows
+
+
 def load_trace(path: str | Path) -> Trace:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -218,41 +276,7 @@ def load_trace(path: str | Path) -> Trace:
         except StopIteration:
             raise TraceFormatError(f"{path}: empty trace file") from None
         input_names, output_names = _parse_header(header)
-        d, m = len(input_names), len(output_names)
-        rows: list[TraceRow] = []
-        for lineno, cells in enumerate(reader, start=2):
-            if len(cells) != len(header):
-                raise TraceFormatError(
-                    f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}"
-                )
-            run_id, solver, iteration, eval_seq, event = cells[:5]
-            if event not in EVENTS:
-                raise TraceFormatError(f"{path}:{lineno}: unknown event '{event}'")
-            xs = cells[5 : 5 + d]
-            ys = cells[5 + d : 5 + d + m]
-            phi, best_phi, wall = cells[5 + d + m : 5 + d + m + 3]
-            try:
-                x = None if all(c == "" for c in xs) else tuple(
-                    _parse_cell(c, f"x:{n}") for c, n in zip(xs, input_names)
-                )
-                y = None if all(c == "" for c in ys) else tuple(
-                    _parse_cell(c, f"y:{n}") for c, n in zip(ys, output_names)
-                )
-                row = TraceRow(
-                    run_id,
-                    solver,
-                    _parse_cell(iteration, "iteration", int),
-                    _parse_cell(eval_seq, "eval_seq", int),
-                    event,
-                    x,  # type: ignore[arg-type]
-                    y,  # type: ignore[arg-type]
-                    _parse_cell(phi, "phi"),
-                    _parse_cell(best_phi, "best_phi"),
-                    _parse_cell(wall, "wall_ms", int) or 0,
-                )
-            except TraceFormatError as exc:
-                raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
-            rows.append(row)
+        rows = _parse_rows(reader, input_names, output_names, str(path))
     return Trace(input_names, output_names, rows)
 
 

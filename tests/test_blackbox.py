@@ -100,6 +100,18 @@ class TestTimeouts:
         monkeypatch.setenv("CNMA_EVAL_TIMEOUT_SECS", "-1")
         assert resolve_timeout(3.5) == 3.5
 
+    @pytest.mark.parametrize("raw", ["inf", "Infinity", "nan"])
+    def test_env_override_ignored_when_not_finite(self, monkeypatch, raw):
+        monkeypatch.setenv("CNMA_EVAL_TIMEOUT_SECS", raw)
+        assert resolve_timeout(3.5) == 3.5
+
+    @pytest.mark.parametrize("timeout", [1e10, 1e300])
+    def test_huge_finite_timeout_waits_for_the_answer(self, timeout):
+        # longer than one poll() wait and than the platform's time_t
+        with harness_for("sleeper", 1, timeout=timeout) as h:
+            rec = h.evaluate([0.05])
+        assert rec.status == OK
+
 
 class TestAccounting:
     def test_every_outcome_counts_once(self):
@@ -368,6 +380,27 @@ class TestSampleUniform:
         draws = sample_uniform(spec, 500, seed=5)
         assert draws[:, 0].min() >= -3.0 and draws[:, 0].max() <= -1.0
         assert draws[:, 1].min() >= 10.0 and draws[:, 1].max() <= 20.0
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_one_call_draws_the_per_variable_stream(self, n):
+        spec = [
+            VariableSpec("a", -3.0, 2.5),
+            VariableSpec("k", 0.0, 7.0, kind="integer"),
+            VariableSpec("b", 1e-3, 1e3),
+            VariableSpec("j", -4.0, 4.0, kind="integer"),
+            VariableSpec("c", 5.0, 5.0),
+        ]
+        rng = np.random.default_rng(11)
+        cols = []
+        for v in spec:  # the reference: one generator call per variable
+            draws = rng.uniform(v.lower, v.upper, size=n)
+            if v.kind == "integer":
+                draws = np.clip(np.rint(draws), v.lower, v.upper)
+            cols.append(draws)
+        want = np.column_stack(cols)
+        got = sample_uniform(spec, n, np.random.default_rng(11))
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_integer_kind_rounds_in_range(self):
         spec = [VariableSpec("k", 0.0, 3.0, kind="integer")]

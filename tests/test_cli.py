@@ -1,10 +1,12 @@
 import json
+import os
 import statistics
 import subprocess
 import sys
 
 import pytest
 
+from cnma import loop
 from cnma.cli import REPORT_COLUMNS, main
 from cnma.trace import load_trace, validate_trace
 
@@ -144,6 +146,70 @@ class TestRun:
         assert (tmp_path / "smoke.csv").exists()
 
 
+class TestTimeoutOverride:
+    @pytest.mark.parametrize("raw", ["inf", "1e10"])
+    def test_unbounded_override_still_runs(self, tmp_path, capsys, monkeypatch, raw):
+        monkeypatch.setenv("CNMA_EVAL_TIMEOUT_SECS", raw)
+        summary = run_json(
+            capsys, "run", "--problem", "rosenbrock", "--solver", "random",
+            "--budget", "3", "--seed", "1", "--trace", str(tmp_path / "t.csv"),
+        )
+        assert summary["evals"] == {"total": 3, "ok": 3, "timeout": 0, "error": 0}
+
+
+class TestFailedRun:
+    """A run that raises leaves no trace and no partial file behind it."""
+
+    @pytest.mark.parametrize("earlier", [None, b"an earlier run's trace\n"])
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_trace_path_is_left_as_it_was(self, tmp_path, capsys, monkeypatch,
+                                          config_path, error, earlier):
+        def fail(*args, **kwargs):
+            raise error("fit failed")
+
+        monkeypatch.setattr(loop, "fit", fail)
+        trace = tmp_path / "t.csv"
+        if earlier is not None:
+            trace.write_bytes(earlier)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        argv = ("run", "--problem", "rosenbrock", "--solver", "cnma", "--budget", "8",
+                "--seed", "2", "--trace", str(trace), "--config", config_path)
+        if error is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                main(list(argv))
+        else:
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 1
+            assert "fit failed" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        if earlier is not None:
+            assert trace.read_bytes() == earlier
+
+
+class TestTraceFile:
+    ARGS = ("run", "--problem", "rosenbrock", "--solver", "random", "--budget", "3",
+            "--seed", "1")
+
+    def test_neighbouring_partial_file_is_left_alone(self, tmp_path, capsys):
+        (tmp_path / "t.csv.partial").write_bytes(b"someone else's file\n")
+        run_json(capsys, *self.ARGS, "--trace", str(tmp_path / "t.csv"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv", "t.csv.partial"]
+        assert (tmp_path / "t.csv.partial").read_bytes() == b"someone else's file\n"
+        assert len(load_trace(tmp_path / "t.csv").rows) == 6
+
+    def test_symlink_is_written_through(self, tmp_path, capsys):
+        (tmp_path / "real.csv").write_bytes(b"old\n")
+        (tmp_path / "link.csv").symlink_to("real.csv")
+        run_json(capsys, *self.ARGS, "--trace", str(tmp_path / "link.csv"))
+        assert (tmp_path / "link.csv").is_symlink()
+        assert len(load_trace(tmp_path / "real.csv").rows) == 6
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+    def test_a_device_is_written_directly(self, capsys):
+        summary = run_json(capsys, *self.ARGS, "--trace", os.devnull)
+        assert summary["trace"] == os.devnull
+
+
 class TestRunUsageErrors:
     def test_bogus_solver(self, capsys):
         code, _, _ = run_cli(
@@ -227,6 +293,27 @@ class TestRunUsageErrors:
         )
         assert code == 2
         assert "objective_target" in err
+        assert not trace.exists()
+
+    def test_infinite_eval_timeout_exits_before_any_call(self, tmp_path, capsys,
+                                                         monkeypatch, unsat_problem):
+        def no_calls(*args, **kwargs):
+            raise AssertionError("blackbox started")
+
+        monkeypatch.setattr("cnma.blackbox.EvalHarness.__init__", no_calls)
+        with open(unsat_problem) as fh:
+            doc = json.load(fh)
+        doc["eval_timeout"] = float("inf")
+        problem = tmp_path / "forever.json"
+        problem.write_text(json.dumps(doc))  # written as the JSON extension `Infinity`
+        assert "Infinity" in problem.read_text()
+        trace = tmp_path / "t.csv"
+        code, _, err = run_cli(
+            capsys, "run", "--problem", str(problem), "--solver", "random",
+            "--budget", "3", "--seed", "1", "--trace", str(trace),
+        )
+        assert code == 2
+        assert "eval_timeout" in err
         assert not trace.exists()
 
     @pytest.mark.parametrize("solver", ["cnma", "random"])

@@ -72,6 +72,11 @@ class TestValidate:
         assert any("sense" in v for v in violations)
         assert any("relation" in v for v in violations)
 
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, math.inf, math.nan])
+    def test_eval_timeout_must_be_positive_and_finite(self, timeout):
+        spec = tiny_problem(eval_timeout=timeout)
+        assert any("eval_timeout" in v for v in validate(spec))
+
     def test_violations_are_data_not_exceptions(self):
         spec = tiny_problem(inputs=[VariableSpec("x1", math.inf, 1.0)])
         assert isinstance(validate(spec), list)

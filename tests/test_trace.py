@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,14 +10,40 @@ from cnma.trace import (
     Trace,
     TraceFormatError,
     TraceRecorder,
+    TraceRow,
     load_trace,
     validate_trace,
 )
 
 
-def minimize_recorder() -> TraceRecorder:
+class KeptRecorder(TraceRecorder):
+    """A recorder that also keeps, in `emitted`, the values each emit was given.
+
+    They are the reference the written bytes and the loaded rows are checked
+    against, independent of the recorder's own formatting and read-back.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.emitted: list[TraceRow] = []
+
+    def emit(self, event, *, iteration=None, eval_seq=None, x=None, y=None,
+             phi=None, best_phi=None, wall_ms=0.0):
+        super().emit(event, iteration=iteration, eval_seq=eval_seq, x=x, y=y,
+                     phi=phi, best_phi=best_phi, wall_ms=wall_ms)
+        self.emitted.append(TraceRow(
+            self.run_id, self.solver, iteration, eval_seq, event,
+            None if x is None else tuple(float(v) for v in x),
+            None if y is None else tuple(float(v) for v in y),
+            None if phi is None else float(phi),
+            None if best_phi is None else float(best_phi),
+            int(wall_ms),
+        ))
+
+
+def minimize_recorder(run_id: str = "run-1", sink=None) -> KeptRecorder:
     """A small trace that satisfies every integrity rule under minimize."""
-    rec = TraceRecorder("run-1", "cnma", ["a", "b"], ["f"])
+    rec = KeptRecorder(run_id, "cnma", ["a", "b"], ["f"], sink)
     rec.emit("init", iteration=0, eval_seq=1, x=(0.5, 1.0), y=(2.0,), phi=2.0)
     rec.emit("feasible", iteration=0, x=(0.5, 1.0), y=(2.0,), phi=2.0, best_phi=2.0)
     rec.emit("propose", iteration=1, x=(0.25, 0.75), phi=1.2, best_phi=2.0)
@@ -71,7 +98,8 @@ class TestRoundTrip:
         trace = load_trace(path)
         assert trace.input_names == ["a", "b"]
         assert trace.output_names == ["f"]
-        assert trace.rows == rec.rows
+        assert trace.rows == rec.emitted
+        assert rec.rows == rec.emitted
         assert trace.run_id == "run-1"
         assert trace.solver == "cnma"
 
@@ -103,18 +131,23 @@ class TestRoundTrip:
         min_size=1, max_size=8,
     ))
     def test_float_round_trip_property(self, tmp_path_factory, xs):
-        rec = TraceRecorder("r", "random", ["a"], ["f"])
+        rec = KeptRecorder("r", "random", ["a"], ["f"])
         for i, v in enumerate(xs, start=1):
             rec.emit("eval", iteration=i, eval_seq=i, x=(v,), y=(v,), phi=v,
                      best_phi=None)
             rec.emit("infeasible", iteration=i, x=(v,), y=(v,), phi=v, best_phi=None)
         path = tmp_path_factory.mktemp("rt") / "t.csv"
         rec.write(path)
-        assert load_trace(path).rows == rec.rows
+        rows = load_trace(path).rows
+        assert rows == rec.emitted
+        assert len(rows) == 2 * len(xs)
+        for row, v in zip(rows, [v for v in xs for _ in range(2)]):
+            assert (row.x, row.y, row.phi) == ((v,), (v,), v)
 
 
-def csv_writer_reference(rec: TraceRecorder, path) -> None:
-    """The row-by-row `csv.writer` loop `TraceRecorder.write` must match."""
+def csv_writer_reference(rec: KeptRecorder, path) -> None:
+    """The row-by-row `csv.writer` loop over the emitted values that the
+    recorder's bytes must match."""
 
     def fmt(value) -> str:
         if value is None:
@@ -127,7 +160,7 @@ def csv_writer_reference(rec: TraceRecorder, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(rec.header())
         d, m = len(rec.input_names), len(rec.output_names)
-        for r in rec.rows:
+        for r in rec.emitted:
             xs = [""] * d if r.x is None else [fmt(v) for v in r.x]
             ys = [""] * m if r.y is None else [fmt(v) for v in r.y]
             writer.writerow(
@@ -136,29 +169,70 @@ def csv_writer_reference(rec: TraceRecorder, path) -> None:
             )
 
 
+def awkward_recorder(run_id: str, sink=None) -> KeptRecorder:
+    """`minimize_recorder` plus rows with non-finite, signed-zero and tiny values."""
+    rec = minimize_recorder(run_id, sink)
+    awkward = (float("nan"), float("inf"), float("-inf"), -0.0, 1e-300)
+    for i, v in enumerate(awkward, start=6):
+        rec.emit("eval", iteration=i, eval_seq=i, x=(v, -v), y=(v,), phi=v,
+                 best_phi=None, wall_ms=i)
+        rec.emit("infeasible", iteration=i, x=(v, -v), y=(v,), phi=v)
+    rec.emit("timeout", iteration=11, eval_seq=11, x=(-0.0, 0.0), best_phi=-0.0)
+    rec.emit("milp_infeasible", iteration=12)
+    return rec
+
+
+AWKWARD_RUN_IDS = ["run-1", 'run,"1"', "two\nlines", ""]
+
+
 class TestWriteMatchesCsvWriter:
-    @pytest.mark.parametrize("run_id", ["run-1", 'run,"1"', "two\nlines", ""])
+    @pytest.mark.parametrize("run_id", AWKWARD_RUN_IDS)
     def test_same_bytes(self, tmp_path, run_id):
-        rec = minimize_recorder()
-        awkward = (float("nan"), float("inf"), float("-inf"), -0.0, 1e-300)
-        for i, v in enumerate(awkward, start=6):
-            rec.emit("eval", iteration=i, eval_seq=i, x=(v, -v), y=(v,), phi=v,
-                     best_phi=None, wall_ms=i)
-            rec.emit("infeasible", iteration=i, x=(v, -v), y=(v,), phi=v)
-        rec.emit("timeout", iteration=11, eval_seq=11, x=(-0.0, 0.0), best_phi=-0.0)
-        rec.emit("milp_infeasible", iteration=12)
-        rec.rows = [dataclasses.replace(r, run_id=run_id) for r in rec.rows]
+        rec = awkward_recorder(run_id)
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         rec.write(got)
         csv_writer_reference(rec, want)
         assert got.read_bytes() == want.read_bytes()
 
     def test_no_rows_writes_the_header(self, tmp_path):
-        rec = TraceRecorder("r", "random", ["a"], ["f"])
+        rec = KeptRecorder("r", "random", ["a"], ["f"])
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         rec.write(got)
         csv_writer_reference(rec, want)
         assert got.read_bytes() == want.read_bytes() == b"run_id,solver,iteration,eval_seq,event,x:a,y:f,phi,best_phi,wall_ms\n"
+
+
+class TestFileSink:
+    @pytest.mark.parametrize("run_id", AWKWARD_RUN_IDS)
+    def test_streamed_file_matches_in_memory_write(self, tmp_path, run_id):
+        streamed, written = tmp_path / "streamed.csv", tmp_path / "written.csv"
+        want = tmp_path / "want.csv"
+        with open(streamed, "w", newline="") as sink:
+            rec = awkward_recorder(run_id, sink)
+        awkward_recorder(run_id).write(written)
+        csv_writer_reference(rec, want)
+        assert streamed.read_bytes() == written.read_bytes() == want.read_bytes()
+
+    def test_rows_are_not_kept_in_memory(self, tmp_path):
+        with open(tmp_path / "t.csv", "w", newline="") as sink:
+            rec = TraceRecorder("r", "random", ["a", "b", "c"], ["f", "g"], sink)
+            tracemalloc.start()
+            try:
+                for i in range(1, 50_001):
+                    x, y = (i / 7, -i / 3, 0.1 * i), (i / 11, 1e-3 * i)
+                    rec.emit("eval", iteration=i, eval_seq=i, x=x, y=y, phi=y[0],
+                             best_phi=None, wall_ms=1)
+                current, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert current < 1_000_000
+        assert len(load_trace(tmp_path / "t.csv").rows) == 50_000
+
+    def test_in_memory_reads_refuse_a_file_sink(self, tmp_path):
+        with open(tmp_path / "t.csv", "w", newline="") as sink:
+            rec = minimize_recorder(sink=sink)
+            with pytest.raises(TypeError, match="load_trace"):
+                rec.to_trace()
 
 
 class TestLoadErrors:
