@@ -11,10 +11,12 @@ considers feasible.  The proposal is evaluated on the real blackbox:
 * MILP infeasible -> the surrogate contradicts P everywhere; add random
   samples to diversify the dataset
 
-After the full branch and bound, each iteration probes the activation
-regions of good known samples.  On one region the network is affine, so a
-probe is a small LP over the inputs alone (`milp.region_models`); its point
-is lifted to the outputs by the network's forward pass.
+Each iteration first probes the activation regions of good known samples.
+On one region the network is affine, so a probe is a small LP over the
+inputs alone (`milp.region_models`); its point is lifted to the outputs by
+the network's forward pass.  The full branch and bound runs only when no
+probe improves on the incumbent.  The paper solves the full MILP in every
+iteration; `pattern_probes=0` restores that loop.
 
 Every blackbox call, including timeouts and initialization, counts against
 the evaluation budget.  The run's `Session` ends it: each iteration begins
@@ -90,7 +92,7 @@ class CnmaConfig:
 class IterationRecord:
     index: int
     train_loss: float | None
-    milp_status: str  # optimal | infeasible | budget_exceeded | *_failed
+    milp_status: str  # skipped | optimal | infeasible | budget_exceeded | *_failed
     proposed_x: tuple[float, ...] | None
     predicted_y: tuple[float, ...] | None
     eval_status: str | None  # ok | timeout | error | None
@@ -101,6 +103,7 @@ class IterationRecord:
 
 
 PROBE_NODES = 8  # branch-and-bound node budget of one activation-region probe
+SKIPPED = "skipped"  # milp_status when a probe improved, so the full solve did not run
 
 
 class _Run(Session):
@@ -183,25 +186,23 @@ def _worst_violation(problem: ProblemSpec, sample: Sample) -> float:
 
 
 def _propose(run: _Run, net, model) -> tuple[str, dict | None]:
-    """Best proposal from the budgeted solve plus activation-region probes.
+    """Best proposal from the activation-region probes, else the full solve.
 
-    Returns (milp_status, assignment or None).  The full solve may stop at
-    its budget without an integral point; probing the regions of good known
-    samples then supplies candidates the branch and bound could not reach.
-    Samples whose unstable neurons share one pattern share a region, which
-    is probed once.
+    Returns (milp_status, assignment or None).  The probes run first: each
+    optimizes the surrogate over one region of a good known sample, and
+    samples whose unstable neurons share one pattern share a region, which
+    is probed once.  The budgeted full solve runs only when no probe
+    candidate improves on the incumbent (before the first feasible sample,
+    every candidate does); otherwise the status is `SKIPPED`.  The full
+    solve's candidate, when there is one, comes first, so it wins ties.
     """
     config, sign, problem = run.config, run.sign, run.problem
-    candidates: list[tuple[float, dict]] = []
-    full_status = None
-    try:
-        full = milp.solve(model, node_budget=config.milp_node_budget)
-        full_status = full.status
-        if full.assignment is not None:
-            candidates.append((sign * full.objective_value, full.assignment))
-    except LpNumericalError:
-        full_status = "numerical_failed"
+    incumbent = None if run.best_phi is None else sign * run.best_phi
 
+    def improves(candidate: tuple[float, dict]) -> bool:
+        return incumbent is None or candidate[0] < incumbent - 1e-9
+
+    candidates: list[tuple[float, dict]] = []
     if config.pattern_probes > 0:
         xs = [run.samples[i].x for i in _probe_indices(run)]
         for region in milp.region_models(problem, net, xs):
@@ -214,21 +215,28 @@ def _propose(run: _Run, net, model) -> tuple[str, dict | None]:
                 lifted = problem.assignment(x_probe, forward(net, x_probe))
                 candidates.append((sign * sol.objective_value, lifted))
 
+    status = SKIPPED
+    if not any(map(improves, candidates)):
+        try:
+            full = milp.solve(model, node_budget=config.milp_node_budget)
+            status = full.status
+            if full.assignment is not None:
+                candidates.insert(0, (sign * full.objective_value, full.assignment))
+        except LpNumericalError:
+            status = "numerical_failed"
+
     if not candidates:
-        return full_status or "infeasible", None
+        return status, None
     # Conservative pick: among candidates predicted to beat the incumbent,
     # take the *least* ambitious one.  Deep predicted improvements are where
     # the surrogate is most wrong, so chasing the global minimizer yields a
     # stream of infeasible proposals; the shallow end is usually real.
-    incumbent = None if run.best_phi is None else sign * run.best_phi
-    improving = [c for c in candidates if incumbent is None or c[0] < incumbent - 1e-9]
+    improving = [c for c in candidates if improves(c)]
     if improving:
         best_assignment = max(improving, key=lambda c: c[0])[1]
     else:
         best_assignment = min(candidates, key=lambda c: c[0])[1]
-    if full_status == milp.OPTIMAL:
-        status = milp.OPTIMAL
-    else:
+    if status not in (SKIPPED, milp.OPTIMAL):
         status = milp.BUDGET_EXCEEDED
     return status, best_assignment
 

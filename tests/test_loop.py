@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import os
 import signal
 import subprocess
@@ -302,12 +303,15 @@ class TestProbeErrors:
 
     def test_numerical_failure_skips_only_that_probe(self, monkeypatch):
         # the full solve finds nothing, so the probes supply every candidate
-        real = milp.solve
-        probes: list[list] = []
+        real, real_regions = milp.solve, milp.region_models
+        probes: list[list] = []  # one list per iteration, opened by its region_models call
+
+        def region_models(*args):
+            probes.append([])
+            return real_regions(*args)
 
         def solve(model, node_budget=100000, time_budget=None):
             if node_budget != loop.PROBE_NODES:
-                probes.append([])
                 return milp.MilpSolution(milp.INFEASIBLE, None, None)
             if not probes[-1]:
                 probes[-1].append(None)
@@ -317,6 +321,7 @@ class TestProbeErrors:
             return sol
 
         monkeypatch.setattr(milp, "solve", solve)
+        monkeypatch.setattr(milp, "region_models", region_models)
         res = cnma_run(rosenbrock_problem(), fast_config(n_initial=6, pattern_probes=6))
         assert len(probes) == len(res.iterations)
         went_on = 0
@@ -337,6 +342,77 @@ class TestProbeErrors:
         monkeypatch.setattr(milp, "solve", solve)
         with pytest.raises(ValueError, match="probe broke"):
             cnma_run(rosenbrock_problem(), fast_config())
+
+
+class TestFullSolveRule:
+    """The full solve runs exactly when no optimal probe improves on the incumbent."""
+
+    def watch(self, monkeypatch):
+        """Per proposal: the incumbent, and the optimal probe values and full solves seen."""
+        real_propose, real_regions, real_solve = loop._propose, milp.region_models, milp.solve
+        seen: list[dict] = []
+
+        def propose(run, net, model):
+            seen.append({"sign": run.sign, "incumbent": run.best_phi, "regions": [],
+                         "probes": [], "full": 0})
+            return real_propose(run, net, model)
+
+        def region_models(*args):
+            seen[-1]["regions"] = real_regions(*args)
+            return seen[-1]["regions"]
+
+        def solve(model, node_budget=100000, time_budget=None):
+            sol = real_solve(model, node_budget, time_budget)
+            entry = seen[-1]
+            if not any(model is region for region in entry["regions"]):
+                entry["full"] += 1
+            elif sol.status == milp.OPTIMAL:
+                entry["probes"].append(sol.objective_value)
+            return sol
+
+        monkeypatch.setattr(loop, "_propose", propose)
+        monkeypatch.setattr(milp, "region_models", region_models)
+        monkeypatch.setattr(milp, "solve", solve)
+        return seen
+
+    @pytest.mark.parametrize(
+        "constraints",
+        [(), (LinearConstraint(linear((1.0, "f")), "<=", 2.0),)],
+        ids=["unconstrained", "f-at-most-2"],
+    )
+    def test_full_solve_only_when_no_probe_improves(self, monkeypatch, constraints):
+        seen = self.watch(monkeypatch)
+        res = cnma_run(rosenbrock_problem(constraints),
+                       fast_config(max_iterations=10, pattern_probes=3))
+        assert len(seen) == len(res.iterations)
+        skipped = 0
+        for entry, record in zip(seen, res.iterations):
+            inc = entry["incumbent"]
+            improves = [v for v in entry["probes"]
+                        if inc is None or entry["sign"] * v < entry["sign"] * inc - 1e-9]
+            assert entry["full"] == (0 if improves else 1)
+            assert (record.milp_status == loop.SKIPPED) == bool(improves)
+            skipped += bool(improves)
+        assert 0 < skipped < len(seen)  # both branches ran
+        if constraints:
+            assert seen[0]["incumbent"] is None  # the rule before the first feasible sample
+
+    def test_no_probes_solve_in_full_every_iteration(self, monkeypatch):
+        seen = self.watch(monkeypatch)
+        res = cnma_run(rosenbrock_problem(), fast_config(max_iterations=6, pattern_probes=0))
+        assert len(seen) == len(res.iterations) == 6
+        assert all(entry["full"] == 1 and not entry["regions"] for entry in seen)
+        assert all(r.milp_status != loop.SKIPPED for r in res.iterations)
+
+    def test_skipped_is_not_a_failure(self, monkeypatch):
+        # the benchmark counts the iterations whose status is in FAILED_MILP as failed
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+        spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+        reference = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, reference)  # its dataclasses look it up
+        spec.loader.exec_module(reference)
+        assert loop.SKIPPED not in reference.FAILED_MILP
+        assert not loop.SKIPPED.endswith("_failed")
 
 
 class TestConfig:

@@ -8,6 +8,9 @@ after the verdict row that reaches it, cnma also during its initial draws.
 A run that ends on its budget stops right after the verdict or timeout row
 of its last call, so every trace ends with one of those rows.
 
+Every case runs again with two BLAS threads and must write the same bytes:
+the thread count must not change a trace.
+
 The digests were taken with numpy 2.4.6 and OpenBLAS 0.3.31 under Python
 3.11 on x86-64 Linux.  Float results depend on the numpy, BLAS and libm
 build, so on another build a mismatch may not be a regression.
@@ -29,7 +32,7 @@ SRC = str(Path(cnma.__file__).resolve().parent.parent)
 
 # (problem, solver, budget, seed, target, digest)
 CASES = [
-    ("band", "cnma", 20, 1, None, "608bf7629a29d47d"),
+    ("band", "cnma", 20, 1, None, "2a847e7788ab2c54"),
     ("rosenbrock", "cnma", 30, 2, "1e6", "833ecec8dacf640b"),
     ("rosenbrock", "cnma", 30, 2, "260", "d6f9545c12b1b38b"),
     ("band", "random", 40, 2, None, "b5f2cd0a018a01ae"),
@@ -37,18 +40,30 @@ CASES = [
     ("rosenbrock", "nelder-mead", 200, 1, None, "3bd105c479976882"),
     ("rosenbrock", "nelder-mead", 200, 3, "0.5", "6e8bed9283ef0fc4"),
     ("polak3", "cnma", 8, 1, None, "c402fc872e393798"),
-    ("rosenbrock", "cnma", 12, 1, None, "45dbb6d6cf8e6025"),
+    ("rosenbrock", "cnma", 12, 1, None, "acaa20d1e0f0d0ab"),
     ("polak3", "nelder-mead", 200, 2, None, "f669dffb56211133"),
     ("rosenbrock", "random", 50, 3, "5", "a3d841c6f0e4c79c"),
 ]
 
 
-@pytest.mark.parametrize(
+cases = pytest.mark.parametrize(
     "problem, solver, budget, seed, target, digest",
     CASES,
     ids=[f"{c[0]}-{c[1]}-b{c[2]}-s{c[3]}" + (f"-t{c[4]}" if c[4] else "") for c in CASES],
 )
+
+
+@cases
 def test_trace_digest(tmp_path, problem, solver, budget, seed, target, digest):
+    check_digest(tmp_path, problem, solver, budget, seed, target, digest, threads=1)
+
+
+@cases
+def test_trace_digest_two_threads(tmp_path, problem, solver, budget, seed, target, digest):
+    check_digest(tmp_path, problem, solver, budget, seed, target, digest, threads=2)
+
+
+def check_digest(tmp_path, problem, solver, budget, seed, target, digest, threads):
     argv = [
         sys.executable, "-m", "cnma.cli", "run",
         "--problem", problem, "--solver", solver,
@@ -56,7 +71,7 @@ def test_trace_digest(tmp_path, problem, solver, budget, seed, target, digest):
     ]
     if target is not None:
         argv += ["--target", target]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     env.pop("CNMA_EVAL_TIMEOUT_SECS", None)
     done = subprocess.run(
