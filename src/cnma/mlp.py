@@ -76,17 +76,6 @@ class MlpSurrogate:
     def n_outputs(self) -> int:
         return self.layer_sizes[-1]
 
-    def copy(self) -> "MlpSurrogate":
-        return MlpSurrogate(
-            self.layer_sizes,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.input_shift.copy(),
-            self.input_scale.copy(),
-            self.output_shift.copy(),
-            self.output_scale.copy(),
-        )
-
 
 def init_network(layer_sizes: Sequence[int], seed: int = 0) -> MlpSurrogate:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights and biases."""
@@ -234,7 +223,7 @@ def fit(
                 idx = order[start : start + batch]
                 adam_step(xn[idx], yn[idx])
 
-    final = float(np.mean((_forward_normalized(out, xn) - yn) ** 2))
+    final = training_loss(out, data.x, data.y)
     if not np.isfinite(final):
         raise TrainingDivergedError(
             f"non-finite training loss after {epochs} epochs "

@@ -86,12 +86,19 @@ def _csv_line(cells: Sequence[str]) -> str:
     return buf.getvalue()
 
 
+class _Discard:
+    """A sink that drops every row, for a run that keeps no trace."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+
 class TraceRecorder:
     """Formats each row as it is emitted and writes it to a text sink.
 
-    The sink is a text file the caller opened (`cnma run` streams to its
-    trace file) or, by default, an in-memory buffer that `rows`,
-    `to_trace()` and `write()` read back.  No per-row object is kept.
+    The sink is a text stream the caller opened: `cnma run` streams to its
+    trace file.  With no sink each row is still formatted and checked, then
+    dropped.  No per-row object is kept; `load_trace` reads the rows back.
     """
 
     def __init__(
@@ -106,7 +113,7 @@ class TraceRecorder:
         self.solver = solver
         self.input_names = list(input_names)
         self.output_names = list(output_names)
-        self._sink = io.StringIO(newline="") if sink is None else sink
+        self._sink = _Discard() if sink is None else sink
         self._blank_x = [""] * len(self.input_names)
         self._blank_y = [""] * len(self.output_names)
         # the line a `csv.writer` would write, built without it per row: only
@@ -153,29 +160,6 @@ class TraceRecorder:
             + [f"x:{n}" for n in self.input_names]
             + [f"y:{n}" for n in self.output_names]
             + list(FIXED_TAIL)
-        )
-
-    def _text(self) -> str:
-        if not isinstance(self._sink, io.StringIO):
-            raise TypeError("this recorder streams to a file; read it with load_trace")
-        return self._sink.getvalue()
-
-    def write(self, path: str | Path) -> None:
-        """Copy an in-memory recorder's CSV to `path`."""
-        with open(path, "w", newline="") as fh:
-            fh.write(self._text())
-
-    @property
-    def rows(self) -> list[TraceRow]:
-        return self.to_trace().rows
-
-    def to_trace(self) -> Trace:
-        reader = csv.reader(io.StringIO(self._text(), newline=""))
-        next(reader)  # the header, written by __init__
-        return Trace(
-            list(self.input_names),
-            list(self.output_names),
-            _parse_rows(reader, self.input_names, self.output_names, "trace"),
         )
 
 
@@ -268,15 +252,22 @@ def _parse_rows(
     return rows
 
 
-def load_trace(path: str | Path) -> Trace:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TraceFormatError(f"{path}: empty trace file") from None
-        input_names, output_names = _parse_header(header)
-        rows = _parse_rows(reader, input_names, output_names, str(path))
+def load_trace(source: str | Path | TextIO) -> Trace:
+    """Parse a trace from a path or from a text stream opened with newline=""."""
+    if isinstance(source, (str, Path)):
+        with open(source, newline="") as fh:
+            return _read_trace(fh, str(source))
+    return _read_trace(source, "trace")
+
+
+def _read_trace(stream: TextIO, where: str) -> Trace:
+    reader = csv.reader(stream)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise TraceFormatError(f"{where}: empty trace file") from None
+    input_names, output_names = _parse_header(header)
+    rows = _parse_rows(reader, input_names, output_names, where)
     return Trace(input_names, output_names, rows)
 
 

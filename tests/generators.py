@@ -20,6 +20,8 @@ from cnma.problem import (
     load_problem,
 )
 
+from brute_force import brute_force_milp
+
 
 def random_net(rng: np.random.Generator, n_in=None, n_out=None) -> MlpSurrogate:
     """Small random surrogate: <= 2 hidden layers, <= 8 neurons per layer.
@@ -166,7 +168,7 @@ def random_milp(rng: np.random.Generator, max_binaries=10) -> milp.MilpModel:
 
 def assert_solver_matches_oracle(model: milp.MilpModel, tol=1e-6):
     got = milp.solve(model)
-    want = milp.brute_force_milp(model)
+    want = brute_force_milp(model)
     assert got.status == want.status, (
         f"status mismatch: solve={got.status} oracle={want.status}"
     )

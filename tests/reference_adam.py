@@ -10,6 +10,8 @@ fixed point those changes are compared against.
 """
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from cnma.mlp import SCALE_FLOOR, Dataset, MlpSurrogate
@@ -55,7 +57,7 @@ def fit(
     batch_size: int = 256,
     seed: int = 0,
 ) -> tuple[MlpSurrogate, float]:
-    out = net.copy()
+    out = copy.deepcopy(net)
     out.input_shift = data.x.mean(axis=0)
     out.input_scale = np.maximum(data.x.std(axis=0), SCALE_FLOOR)
     out.output_shift = data.y.mean(axis=0)

@@ -5,6 +5,7 @@ they happen; without -s pytest shows them for failing tests only.  The heavy
 fixtures (full CNMA runs) are module-scoped so criteria 2, 3 and 9 share one
 set of polak3 runs.
 """
+import copy
 import statistics
 import time
 
@@ -16,7 +17,7 @@ from cnma.benchmarks import band_curve, builtin_problem_path, parking_forward
 from cnma.loop import CnmaConfig, cnma_run
 from cnma.mlp import init_network, loss_gradient
 from cnma.problem import check_constraints, load_problem
-from cnma.trace import TraceRecorder, validate_trace
+from cnma.trace import validate_trace
 
 from generators import (
     assert_solver_matches_oracle,
@@ -26,6 +27,7 @@ from generators import (
 )
 from test_benchmarks import POLAK3_SOLUTION_X, POLAK3_SOLUTION_Y, polak3_scalar
 from test_mlp import assert_gradient_close, finite_difference
+from trace_buffer import BufferedRecorder
 
 SEEDS = (1, 2, 3, 4, 5)
 
@@ -45,8 +47,8 @@ def best_median(values) -> float:
     )
 
 
-def recorder_for(problem, label: str) -> TraceRecorder:
-    return TraceRecorder(
+def recorder_for(problem, label: str) -> BufferedRecorder:
+    return BufferedRecorder(
         label, "cnma", problem.input_names(), problem.output_names()
     )
 
@@ -67,7 +69,7 @@ def polak3_cnma(polak3_problem):
         assert config.n_initial == 2
         result = cnma_run(polak3_problem, config, trace)
         runs.append(result)
-        TRACES.append((trace.run_id, trace.to_trace(), "minimize", 300))
+        TRACES.append((trace.run_id, trace.read(), "minimize", 300))
     return runs, time.perf_counter() - started
 
 
@@ -76,21 +78,21 @@ def polak3_baselines(polak3_problem):
     random_best, nm_best = [], []
     started = time.perf_counter()
     for seed in SEEDS:
-        trace = TraceRecorder(
+        trace = BufferedRecorder(
             f"polak3-random-s{seed}", "random",
             polak3_problem.input_names(), polak3_problem.output_names(),
         )
         res = random_search(polak3_problem, 10000, seed, trace=trace)
         random_best.append(res.best_phi)
-        TRACES.append((trace.run_id, trace.to_trace(), "minimize", 10000))
+        TRACES.append((trace.run_id, trace.read(), "minimize", 10000))
     for seed in SEEDS:
-        trace = TraceRecorder(
+        trace = BufferedRecorder(
             f"polak3-nm-s{seed}", "nelder-mead",
             polak3_problem.input_names(), polak3_problem.output_names(),
         )
         res = nelder_mead(polak3_problem, 1000, seed, trace=trace)
         nm_best.append(res.best_phi)
-        TRACES.append((trace.run_id, trace.to_trace(), "minimize", 1000))
+        TRACES.append((trace.run_id, trace.read(), "minimize", 1000))
     return random_best, nm_best, time.perf_counter() - started
 
 
@@ -184,7 +186,7 @@ def test_criterion_6_gradient_correctness():
         x = rng.uniform(-2, 2, size=(int(rng.integers(2, 6)), sizes[0]))
         y = rng.uniform(-2, 2, size=(x.shape[0], sizes[-1]))
         gw, gb = loss_gradient(net, x, y)
-        fd_w, fd_b = finite_difference(net.copy(), x, y)
+        fd_w, fd_b = finite_difference(copy.deepcopy(net), x, y)
         assert_gradient_close(gw, fd_w, rel=1e-4)
         assert_gradient_close(gb, fd_b, rel=1e-4)
         worst_pairs += 1
@@ -218,13 +220,13 @@ def test_criterion_7_timeout_resilience():
     result = cnma_run(problem, config, trace)
     elapsed = time.perf_counter() - started
 
-    events = [r.event for r in trace.rows]
+    events = [r.event for r in trace.read().rows]
     timeouts = [i for i, e in enumerate(events) if e == "timeout"]
     followed = all("random_fill" in events[i + 1 :] for i in timeouts)
     in_band = (
         result.best_y is not None and 0.25 <= result.best_y[0] <= 0.4
     )
-    TRACES.append((trace.run_id, trace.to_trace(), problem.sense, 100))
+    TRACES.append((trace.run_id, trace.read(), problem.sense, 100))
     report(
         7,
         coverage == pytest.approx(0.2)
@@ -264,7 +266,7 @@ def test_criterion_8_parking_feasibility():
         config = CnmaConfig.for_problem(problem, eval_budget=500, seed=seed)
         result = cnma_run(problem, config, trace)
         hits += int(result.feasible_found)
-        TRACES.append((trace.run_id, trace.to_trace(), problem.sense, 500))
+        TRACES.append((trace.run_id, trace.read(), problem.sense, 500))
     elapsed = time.perf_counter() - started
     report(
         8,

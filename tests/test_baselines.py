@@ -11,7 +11,9 @@ from cnma.problem import (
     check_constraints,
     linear,
 )
-from cnma.trace import TraceRecorder, validate_trace
+from cnma.trace import validate_trace
+
+from trace_buffer import BufferedRecorder
 
 
 def rosenbrock_problem(constraints=(), sense="minimize"):
@@ -58,18 +60,18 @@ class TestRandomSearch:
 
     def test_best_is_minimum_of_feasible_evals(self):
         problem = rosenbrock_problem()
-        trace = TraceRecorder("t", "random", ["x1", "x2"], ["f"])
+        trace = BufferedRecorder("t", "random", ["x1", "x2"], ["f"])
         res = random_search(problem, eval_budget=60, seed=5, trace=trace)
-        phis = [r.phi for r in trace.rows if r.event == "feasible"]
+        phis = [r.phi for r in trace.read().rows if r.event == "feasible"]
         assert res.best_phi == pytest.approx(min(phis))
 
     def test_feasibility_agrees_with_check_constraints(self):
         problem = rosenbrock_problem(
             constraints=[LinearConstraint(linear((1.0, "f")), "<=", 100.0)]
         )
-        trace = TraceRecorder("t", "random", ["x1", "x2"], ["f"])
+        trace = BufferedRecorder("t", "random", ["x1", "x2"], ["f"])
         random_search(problem, eval_budget=80, seed=2, trace=trace)
-        for row in trace.rows:
+        for row in trace.read().rows:
             if row.event in ("feasible", "infeasible"):
                 point = problem.assignment(row.x, row.y)
                 verdict = check_constraints(problem.constraints, point)
@@ -77,9 +79,9 @@ class TestRandomSearch:
 
     def test_trace_passes_integrity_checks(self):
         problem = rosenbrock_problem()
-        trace = TraceRecorder("t", "random", ["x1", "x2"], ["f"])
+        trace = BufferedRecorder("t", "random", ["x1", "x2"], ["f"])
         random_search(problem, eval_budget=30, seed=7, trace=trace)
-        assert validate_trace(trace.to_trace(), problem.sense) == []
+        assert validate_trace(trace.read(), problem.sense) == []
 
     def test_objective_target_stops_early(self):
         res = random_search(
@@ -112,18 +114,18 @@ class TestNelderMead:
 
     def test_stays_within_bounds(self):
         problem = rosenbrock_problem()
-        trace = TraceRecorder("t", "nelder-mead", ["x1", "x2"], ["f"])
+        trace = BufferedRecorder("t", "nelder-mead", ["x1", "x2"], ["f"])
         nelder_mead(problem, eval_budget=150, seed=8, trace=trace)
-        for row in trace.rows:
+        for row in trace.read().rows:
             if row.x is not None:
                 assert -2.0 <= row.x[0] <= 2.0
                 assert -2.0 <= row.x[1] <= 2.0
 
     def test_trace_passes_integrity_checks(self):
         problem = rosenbrock_problem()
-        trace = TraceRecorder("t", "nelder-mead", ["x1", "x2"], ["f"])
+        trace = BufferedRecorder("t", "nelder-mead", ["x1", "x2"], ["f"])
         nelder_mead(problem, eval_budget=90, seed=3, trace=trace)
-        assert validate_trace(trace.to_trace(), problem.sense) == []
+        assert validate_trace(trace.read(), problem.sense) == []
 
     def test_deterministic(self):
         a = nelder_mead(rosenbrock_problem(), eval_budget=200, seed=6)

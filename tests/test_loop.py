@@ -26,7 +26,9 @@ from cnma.problem import (
     load_problem,
 )
 from cnma.simplex import LpNumericalError
-from cnma.trace import EVAL_EVENTS, TraceRecorder, validate_trace
+from cnma.trace import EVAL_EVENTS, validate_trace
+
+from trace_buffer import BufferedRecorder
 
 
 def rosenbrock_problem(constraints=(), solver_defaults=None):
@@ -58,8 +60,8 @@ def fast_config(**overrides) -> CnmaConfig:
     return CnmaConfig(**base)
 
 
-def recorder(problem) -> TraceRecorder:
-    return TraceRecorder("t", "cnma", problem.input_names(), problem.output_names())
+def recorder(problem) -> BufferedRecorder:
+    return BufferedRecorder("t", "cnma", problem.input_names(), problem.output_names())
 
 
 class TestUnsatisfiable:
@@ -78,12 +80,12 @@ class TestUnsatisfiable:
         assert len(res.iterations) == 4
         assert all(r.outcome == "random" for r in res.iterations)
         assert all(r.proposed_x is None for r in res.iterations)
-        events = [r.event for r in trace.rows]
+        events = [r.event for r in trace.read().rows]
         assert events.count("milp_infeasible") == 4
         assert events.count("random_fill") == 4
         assert res.counter.ok == 2 + 4
         assert res.counter.total_calls == 6
-        assert validate_trace(trace.to_trace(), "minimize") == []
+        assert validate_trace(trace.read(), "minimize") == []
 
 
 class TestLearningFromFailure:
@@ -119,9 +121,9 @@ class TestAccounting:
         res = cnma_run(problem, fast_config(max_iterations=5), trace)
         c = res.counter
         assert c.total_calls == c.ok + c.timeouts + c.errors
-        seqs = [r.eval_seq for r in trace.rows if r.eval_seq is not None]
+        seqs = [r.eval_seq for r in trace.read().rows if r.eval_seq is not None]
         assert max(seqs) == c.total_calls
-        eval_rows = [r for r in trace.rows if r.event in ("init", "eval", "random_fill")]
+        eval_rows = [r for r in trace.read().rows if r.event in ("init", "eval", "random_fill")]
         assert len(eval_rows) == c.ok
 
     def test_eval_budget_is_exact(self):
@@ -143,7 +145,7 @@ class TestDeterminism:
         assert results[0].best_phi == results[1].best_phi
         assert results[0].best_x == results[1].best_x
         assert results[0].counter == results[1].counter
-        assert traces[0].rows == traces[1].rows
+        assert traces[0].read().rows == traces[1].read().rows
 
 
 class TestSolutionIntegrity:
@@ -160,9 +162,9 @@ class TestSolutionIntegrity:
         # the stored output really is what the blackbox returns there
         assert rosenbrock_forward(res.best_x) == pytest.approx(res.best_y, abs=1e-9)
         # and it is the minimum over every feasible verdict in the trace
-        feas = [r.phi for r in trace.rows if r.event == "feasible"]
+        feas = [r.phi for r in trace.read().rows if r.event == "feasible"]
         assert res.best_phi == min(feas)
-        assert validate_trace(trace.to_trace(), "minimize") == []
+        assert validate_trace(trace.read(), "minimize") == []
 
     def test_best_phi_is_monotone_across_iterations(self):
         problem = rosenbrock_problem()
@@ -215,24 +217,25 @@ class TestStopRule:
         problem = rosenbrock_problem(
             constraints=[LinearConstraint(linear((1.0, "f")), "<=", 100.0)]
         )
-        trace = TraceRecorder("t", solver, problem.input_names(), problem.output_names())
+        trace = BufferedRecorder("t", solver, problem.input_names(), problem.output_names())
         res = run_solver(solver, problem, 9, trace)
         assert res.stop_reason == "eval_budget"
         assert res.counter.total_calls == 9
         # nothing follows the verdict or timeout row of call number 9
-        last = trace.rows[-1]
+        rows = trace.read().rows
+        last = rows[-1]
         assert last.event in ("feasible", "infeasible", "timeout")
-        call = last if last.event == "timeout" else trace.rows[-2]
+        call = last if last.event == "timeout" else rows[-2]
         assert call.eval_seq == 9
 
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_target_on_the_last_budgeted_call(self, solver):
         problem = rosenbrock_problem()
-        trace = TraceRecorder("t", solver, problem.input_names(), problem.output_names())
+        trace = BufferedRecorder("t", solver, problem.input_names(), problem.output_names())
         run_solver(solver, problem, 12, trace)
         # the last call that improved the incumbent, and the value it reached
         seq, best = None, None
-        for row in trace.rows:
+        for row in trace.read().rows:
             if row.eval_seq is not None:
                 call = row.eval_seq
             if row.event == "feasible" and row.best_phi != best:
@@ -251,11 +254,11 @@ class TestIntegerInputs:
         problem = dataclasses.replace(
             shipped, inputs=[dataclasses.replace(x1, kind="integer"), x2]
         )
-        trace = TraceRecorder("int", "cnma", problem.input_names(), problem.output_names())
+        trace = BufferedRecorder("int", "cnma", problem.input_names(), problem.output_names())
         config = CnmaConfig.for_problem(problem, eval_budget=8, seed=1)
         res = cnma_run(problem, config, trace)
         assert res.counter.total_calls == 8
-        evaluated = [r.x[0] for r in trace.rows if r.event in EVAL_EVENTS]
+        evaluated = [r.x[0] for r in trace.read().rows if r.event in EVAL_EVENTS]
         assert len(evaluated) >= 6
         assert all(v == round(v) for v in evaluated), evaluated
 
@@ -272,12 +275,12 @@ class SlowClock:
 
 
 class TestMachineIndependence:
-    def test_slow_clock_writes_the_same_trace(self, tmp_path, monkeypatch):
+    def test_slow_clock_writes_the_same_trace(self, monkeypatch):
         # a wall-clock MILP budget would cut every solve on this clock
         problem = load_problem(builtin_problem_path("polak3"))
         real_solve = milp.solve
 
-        def run(name: str):
+        def run():
             solves = []
 
             def solve(*args, **kwargs):
@@ -288,12 +291,11 @@ class TestMachineIndependence:
             monkeypatch.setattr(milp, "solve", solve)
             trace = recorder(problem)
             cnma_run(problem, CnmaConfig.for_problem(problem, eval_budget=8, seed=1), trace)
-            trace.write(tmp_path / name)
-            return (tmp_path / name).read_bytes(), solves
+            return trace.text(), solves
 
-        plain = run("plain.csv")
+        plain = run()
         monkeypatch.setattr(milp, "time", SlowClock())
-        slow = run("slow.csv")
+        slow = run()
         assert slow[1] == plain[1]  # every full solve and probe, node for node
         assert slow[0] == plain[0]
 
@@ -540,7 +542,8 @@ class TestNoChildLeft:
 
         monkeypatch.setattr(milp, "solve", solve)
         with pytest.raises(RuntimeError, match="full solve failed"):
-            cnma_run(rosenbrock_problem(), fast_config())
+            # with no probes the full solve runs in the first iteration
+            cnma_run(rosenbrock_problem(), fast_config(pattern_probes=0))
         assert_no_child_left(workers)
 
     def test_baselines_leave_no_child(self, workers):

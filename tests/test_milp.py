@@ -11,7 +11,6 @@ from cnma.milp import (
     EncodingError,
     MilpModelError,
     activation_pattern,
-    brute_force_milp,
     conjoin,
     encode_network,
     milp_model,
@@ -22,6 +21,7 @@ from cnma.milp import (
 from cnma.mlp import MlpSurrogate, forward
 from cnma.problem import LinearConstraint, VariableSpec, evaluate_linear, linear
 
+from brute_force import brute_force_milp
 from generators import (
     assert_solver_matches_oracle,
     audit_case,

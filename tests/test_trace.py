@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import tracemalloc
 
 import pytest
@@ -15,8 +16,10 @@ from cnma.trace import (
     validate_trace,
 )
 
+from trace_buffer import BufferedRecorder
 
-class KeptRecorder(TraceRecorder):
+
+class KeptRecorder(BufferedRecorder):
     """A recorder that also keeps, in `emitted`, the values each emit was given.
 
     They are the reference the written bytes and the loaded rows are checked
@@ -41,9 +44,8 @@ class KeptRecorder(TraceRecorder):
         ))
 
 
-def minimize_recorder(run_id: str = "run-1", sink=None) -> KeptRecorder:
-    """A small trace that satisfies every integrity rule under minimize."""
-    rec = KeptRecorder(run_id, "cnma", ["a", "b"], ["f"], sink)
+def emit_minimize(rec: TraceRecorder) -> TraceRecorder:
+    """Emit a small trace that satisfies every integrity rule under minimize."""
     rec.emit("init", iteration=0, eval_seq=1, x=(0.5, 1.0), y=(2.0,), phi=2.0)
     rec.emit("feasible", iteration=0, x=(0.5, 1.0), y=(2.0,), phi=2.0, best_phi=2.0)
     rec.emit("propose", iteration=1, x=(0.25, 0.75), phi=1.2, best_phi=2.0)
@@ -64,6 +66,10 @@ def minimize_recorder(run_id: str = "run-1", sink=None) -> KeptRecorder:
     # 3.0 does not improve on 1.5, so best_phi stays put
     rec.emit("feasible", iteration=3, x=(0.6, 0.6), y=(3.0,), phi=3.0, best_phi=1.5)
     return rec
+
+
+def minimize_recorder(run_id: str = "run-1") -> KeptRecorder:
+    return emit_minimize(KeptRecorder(run_id, "cnma", ["a", "b"], ["f"]))
 
 
 class TestRecorder:
@@ -94,51 +100,39 @@ class TestRoundTrip:
     def test_rows_survive_write_and_load(self, tmp_path):
         rec = minimize_recorder()
         path = tmp_path / "t.csv"
-        rec.write(path)
+        path.write_bytes(rec.text().encode())
         trace = load_trace(path)
         assert trace.input_names == ["a", "b"]
         assert trace.output_names == ["f"]
         assert trace.rows == rec.emitted
-        assert rec.rows == rec.emitted
+        assert rec.read().rows == rec.emitted
         assert trace.run_id == "run-1"
         assert trace.solver == "cnma"
 
-    def test_awkward_floats_survive_exactly(self, tmp_path):
+    def test_awkward_floats_survive_exactly(self):
         values = (0.1 + 0.2, 1.0 / 3.0, 1e-17, -2.5e300)
-        rec = TraceRecorder("r", "random", ["a"], ["f"])
+        rec = BufferedRecorder("r", "random", ["a"], ["f"])
         for i, v in enumerate(values, start=1):
             rec.emit("eval", iteration=i, eval_seq=i, x=(v,), y=(v,), phi=v,
                      best_phi=None)
             rec.emit("infeasible", iteration=i, x=(v,), y=(v,), phi=v, best_phi=None)
-        path = tmp_path / "t.csv"
-        rec.write(path)
-        trace = load_trace(path)
+        trace = rec.read()
         for row, v in zip(trace.rows[::2], values):
             assert row.x == (v,)
             assert row.phi == v
-
-    def test_rewrite_is_byte_identical(self, tmp_path):
-        rec = minimize_recorder()
-        p1 = tmp_path / "a.csv"
-        p2 = tmp_path / "b.csv"
-        rec.write(p1)
-        rec.write(p2)
-        assert p1.read_bytes() == p2.read_bytes()
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(
         st.floats(allow_nan=False, allow_infinity=False, width=64),
         min_size=1, max_size=8,
     ))
-    def test_float_round_trip_property(self, tmp_path_factory, xs):
+    def test_float_round_trip_property(self, xs):
         rec = KeptRecorder("r", "random", ["a"], ["f"])
         for i, v in enumerate(xs, start=1):
             rec.emit("eval", iteration=i, eval_seq=i, x=(v,), y=(v,), phi=v,
                      best_phi=None)
             rec.emit("infeasible", iteration=i, x=(v,), y=(v,), phi=v, best_phi=None)
-        path = tmp_path_factory.mktemp("rt") / "t.csv"
-        rec.write(path)
-        rows = load_trace(path).rows
+        rows = rec.read().rows
         assert rows == rec.emitted
         assert len(rows) == 2 * len(xs)
         for row, v in zip(rows, [v for v in xs for _ in range(2)]):
@@ -169,9 +163,9 @@ def csv_writer_reference(rec: KeptRecorder, path) -> None:
             )
 
 
-def awkward_recorder(run_id: str, sink=None) -> KeptRecorder:
-    """`minimize_recorder` plus rows with non-finite, signed-zero and tiny values."""
-    rec = minimize_recorder(run_id, sink)
+def emit_awkward(rec: TraceRecorder) -> TraceRecorder:
+    """`emit_minimize` plus rows with non-finite, signed-zero and tiny values."""
+    emit_minimize(rec)
     awkward = (float("nan"), float("inf"), float("-inf"), -0.0, 1e-300)
     for i, v in enumerate(awkward, start=6):
         rec.emit("eval", iteration=i, eval_seq=i, x=(v, -v), y=(v,), phi=v,
@@ -182,6 +176,10 @@ def awkward_recorder(run_id: str, sink=None) -> KeptRecorder:
     return rec
 
 
+def awkward_recorder(run_id: str) -> KeptRecorder:
+    return emit_awkward(KeptRecorder(run_id, "cnma", ["a", "b"], ["f"]))
+
+
 AWKWARD_RUN_IDS = ["run-1", 'run,"1"', "two\nlines", ""]
 
 
@@ -189,50 +187,65 @@ class TestWriteMatchesCsvWriter:
     @pytest.mark.parametrize("run_id", AWKWARD_RUN_IDS)
     def test_same_bytes(self, tmp_path, run_id):
         rec = awkward_recorder(run_id)
-        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        rec.write(got)
+        want = tmp_path / "want.csv"
         csv_writer_reference(rec, want)
-        assert got.read_bytes() == want.read_bytes()
+        assert rec.text().encode() == want.read_bytes()
 
     def test_no_rows_writes_the_header(self, tmp_path):
         rec = KeptRecorder("r", "random", ["a"], ["f"])
-        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        rec.write(got)
+        want = tmp_path / "want.csv"
         csv_writer_reference(rec, want)
-        assert got.read_bytes() == want.read_bytes() == b"run_id,solver,iteration,eval_seq,event,x:a,y:f,phi,best_phi,wall_ms\n"
+        assert rec.text().encode() == want.read_bytes() == b"run_id,solver,iteration,eval_seq,event,x:a,y:f,phi,best_phi,wall_ms\n"
 
 
 class TestFileSink:
     @pytest.mark.parametrize("run_id", AWKWARD_RUN_IDS)
     def test_streamed_file_matches_in_memory_write(self, tmp_path, run_id):
-        streamed, written = tmp_path / "streamed.csv", tmp_path / "written.csv"
-        want = tmp_path / "want.csv"
+        streamed, want = tmp_path / "streamed.csv", tmp_path / "want.csv"
         with open(streamed, "w", newline="") as sink:
-            rec = awkward_recorder(run_id, sink)
-        awkward_recorder(run_id).write(written)
+            emit_awkward(TraceRecorder(run_id, "cnma", ["a", "b"], ["f"], sink))
+        rec = awkward_recorder(run_id)
         csv_writer_reference(rec, want)
-        assert streamed.read_bytes() == written.read_bytes() == want.read_bytes()
+        assert streamed.read_bytes() == rec.text().encode() == want.read_bytes()
 
     def test_rows_are_not_kept_in_memory(self, tmp_path):
         with open(tmp_path / "t.csv", "w", newline="") as sink:
             rec = TraceRecorder("r", "random", ["a", "b", "c"], ["f", "g"], sink)
-            tracemalloc.start()
-            try:
-                for i in range(1, 50_001):
-                    x, y = (i / 7, -i / 3, 0.1 * i), (i / 11, 1e-3 * i)
-                    rec.emit("eval", iteration=i, eval_seq=i, x=x, y=y, phi=y[0],
-                             best_phi=None, wall_ms=1)
-                current, _ = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-        assert current < 1_000_000
+            assert emit_memory(rec) < 1_000_000
         assert len(load_trace(tmp_path / "t.csv").rows) == 50_000
 
-    def test_in_memory_reads_refuse_a_file_sink(self, tmp_path):
-        with open(tmp_path / "t.csv", "w", newline="") as sink:
-            rec = minimize_recorder(sink=sink)
-            with pytest.raises(TypeError, match="load_trace"):
-                rec.to_trace()
+    def test_no_sink_keeps_no_rows(self):
+        rec = TraceRecorder("r", "random", ["a", "b", "c"], ["f", "g"])
+        assert emit_memory(rec) < 1_000_000
+
+
+def emit_memory(rec: TraceRecorder) -> int:
+    """Bytes still allocated after `rec` emits 50,000 eval rows."""
+    tracemalloc.start()
+    try:
+        for i in range(1, 50_001):
+            x, y = (i / 7, -i / 3, 0.1 * i), (i / 11, 1e-3 * i)
+            rec.emit("eval", iteration=i, eval_seq=i, x=x, y=y, phi=y[0],
+                     best_phi=None, wall_ms=1)
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return current
+
+
+class TestLoadStream:
+    def test_stream_gives_the_same_trace_as_the_path(self, tmp_path):
+        text = minimize_recorder().text()
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        want = load_trace(path)
+        assert load_trace(io.StringIO(text, newline="")) == want
+        with open(path, newline="") as fh:
+            assert load_trace(fh) == want
+
+    def test_empty_stream(self):
+        with pytest.raises(TraceFormatError, match="empty trace file"):
+            load_trace(io.StringIO("", newline=""))
 
 
 class TestLoadErrors:
@@ -301,62 +314,62 @@ class TestLoadErrors:
 
 class TestValidate:
     def test_clean_minimize_trace(self):
-        assert validate_trace(minimize_recorder().to_trace(), "minimize") == []
+        assert validate_trace(minimize_recorder().read(), "minimize") == []
 
     def test_clean_maximize_trace(self):
-        rec = TraceRecorder("r", "random", ["a"], ["f"])
+        rec = BufferedRecorder("r", "random", ["a"], ["f"])
         rec.emit("eval", iteration=1, eval_seq=1, x=(0.0,), y=(1.0,), phi=1.0)
         rec.emit("feasible", iteration=1, x=(0.0,), y=(1.0,), phi=1.0, best_phi=1.0)
         rec.emit("eval", iteration=2, eval_seq=2, x=(0.0,), y=(0.5,), phi=0.5,
                  best_phi=1.0)
         rec.emit("feasible", iteration=2, x=(0.0,), y=(0.5,), phi=0.5, best_phi=1.0)
-        assert validate_trace(rec.to_trace(), "maximize") == []
+        assert validate_trace(rec.read(), "maximize") == []
         # the same rows replayed as a minimization must flag the last verdict
-        errors = validate_trace(rec.to_trace(), "minimize")
+        errors = validate_trace(rec.read(), "minimize")
         assert any("best_phi" in e for e in errors)
 
     def test_best_phi_tampering_detected(self):
-        trace = minimize_recorder().to_trace()
+        trace = minimize_recorder().read()
         trace.rows[4] = dataclasses.replace(trace.rows[4], best_phi=0.0)
         errors = validate_trace(trace, "minimize")
         assert any("best_phi 0.0 != replayed" in e for e in errors)
 
     def test_non_increasing_eval_seq_detected(self):
-        trace = minimize_recorder().to_trace()
+        trace = minimize_recorder().read()
         trace.rows[5] = dataclasses.replace(trace.rows[5], eval_seq=2)
         errors = validate_trace(trace, "minimize")
         assert any("not greater" in e for e in errors)
 
     def test_orphan_verdict_detected(self):
-        trace = minimize_recorder().to_trace()
+        trace = minimize_recorder().read()
         del trace.rows[2]  # the propose row between two verdicts
         del trace.rows[0]  # init row, leaving its verdict orphaned
         errors = validate_trace(trace, "minimize")
         assert any("orphan verdict" in e for e in errors)
 
     def test_verdict_phi_mismatch_detected(self):
-        trace = minimize_recorder().to_trace()
+        trace = minimize_recorder().read()
         trace.rows[1] = dataclasses.replace(trace.rows[1], phi=99.0)
         errors = validate_trace(trace, "minimize")
         assert any("verdict phi differs" in e for e in errors)
 
     def test_missing_verdict_detected(self):
-        trace = minimize_recorder().to_trace()
+        trace = minimize_recorder().read()
         del trace.rows[1]
         errors = validate_trace(trace, "minimize")
         assert any("expected a verdict row" in e for e in errors)
 
     def test_trailing_unjudged_eval_detected(self):
-        trace = minimize_recorder().to_trace()
+        trace = minimize_recorder().read()
         del trace.rows[-1]
         errors = validate_trace(trace, "minimize")
         assert errors == ["trace ends with an unjudged evaluation row"]
 
     def test_eval_row_without_seq_or_phi(self):
-        rec = TraceRecorder("r", "random", ["a"], ["f"])
+        rec = BufferedRecorder("r", "random", ["a"], ["f"])
         rec.emit("eval", iteration=1, x=(0.0,), y=(1.0,))
         rec.emit("infeasible", iteration=1, x=(0.0,), y=(1.0,))
-        errors = validate_trace(rec.to_trace(), "minimize")
+        errors = validate_trace(rec.read(), "minimize")
         assert any("lacks eval_seq" in e for e in errors)
         assert any("lacks phi" in e for e in errors)
 
