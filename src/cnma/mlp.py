@@ -7,16 +7,21 @@ network and never mutates its argument.
 
 `fit` copies the argument's weights and biases into one flat float64 vector,
 and the trained network's arrays are reshaped views of it.  The gradient and
-the two Adam moments are flat vectors of the same layout, so one Adam update
-is 13 whole-vector ufunc calls written into preallocated buffers.  Each
-element still sees the same operations in the same order as a per-array
-update, so the layout does not change a single bit of the result.  There is
-one gradient function: `fit` has it write into views of the flat gradient,
-and `loss_gradient` has it allocate.
+the two Adam moments are flat vectors of the same layout.  One Adam step is
+built once per batch shape as a list of in-place numpy calls over
+preallocated buffers (forward, delta, backward, then the moment updates);
+every step runs that list and then the bias-corrected update.  Each element
+still sees the same operations in the same order as the per-array,
+allocating loop in `tests/reference_adam.py`, so neither the layout nor the
+buffers change a single bit of the result.  There is one gradient function,
+`_gradient_calls`: `fit` builds its list once over views of the flat
+gradient, and `loss_gradient` runs it once on fresh arrays.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -140,7 +145,11 @@ def loss_gradient(
     """Exact gradient of training_loss wrt every weight and bias."""
     xn = normalize_inputs(net, np.atleast_2d(np.asarray(x, dtype=float)))
     yn = (np.atleast_2d(np.asarray(y, dtype=float)) - net.output_shift) / net.output_scale
-    return _loss_gradient_normalized(net, xn, yn)
+    grads_w = [np.empty(w.shape) for w in net.weights]
+    grads_b = [np.empty(b.shape) for b in net.biases]
+    for call in _gradient_calls(net, xn, yn, grads_w, grads_b):
+        call()
+    return grads_w, grads_b
 
 
 def fit(
@@ -157,6 +166,9 @@ def fit(
     max(std, 1e-8) per coordinate).  Full-batch Adam when the dataset fits in
     one batch, otherwise seeded shuffled minibatches.
     """
+    for name, value in (("epochs", epochs), ("batch_size", batch_size)):
+        if not isinstance(value, Integral) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     if data.x.shape[1] != net.n_inputs or data.y.shape[1] != net.n_outputs:
         raise ValueError(
             f"dataset shape ({data.x.shape[1]} -> {data.y.shape[1]}) does not "
@@ -165,6 +177,7 @@ def fit(
     params = np.concatenate([p.ravel() for p in net.weights + net.biases])
     grads = np.empty_like(params)
     weights, biases = _views(params, net)
+    grads_w, grads_b = _views(grads, net)
     out = MlpSurrogate(
         net.layer_sizes,
         weights,
@@ -174,12 +187,11 @@ def fit(
         output_shift=data.y.mean(axis=0),
         output_scale=np.maximum(data.y.std(axis=0), SCALE_FLOOR),
     )
-    grads_into = _views(grads, net)
 
     xn = (data.x - out.input_shift) / out.input_scale
     yn = (data.y - out.output_shift) / out.output_scale
     n = len(data)
-    batch = min(int(batch_size), n)
+    batch = min(batch_size, n)
     rng = np.random.default_rng(seed)
 
     m_state = np.zeros_like(params)
@@ -187,41 +199,58 @@ def fit(
     tmp = np.empty_like(params)
     den = np.empty_like(params)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
+    # Elementwise the same operations, in the same order, as
+    #   m = m*b1 + (1-b1)*g;  v = v*b2 + (1-b2)*g*g
+    #   p -= step * (m/c1) / (sqrt(v/c2) + eps)
+    # so the trained bits do not depend on the flat layout.
+    b1, one_b1, b2, one_b2 = map(np.array, (beta1, 1.0 - beta1, beta2, 1.0 - beta2))
+    moments = [
+        partial(np.multiply, m_state, b1, m_state),
+        partial(np.multiply, grads, one_b1, tmp),
+        partial(np.add, m_state, tmp, m_state),
+        partial(np.multiply, v_state, b2, v_state),
+        partial(np.multiply, grads, one_b2, tmp),
+        partial(np.multiply, tmp, grads, tmp),
+        partial(np.add, v_state, tmp, v_state),
+    ]
     t = 0
 
-    def adam_step(xb: np.ndarray, yb: np.ndarray):
-        # Elementwise the same operations, in the same order, as
-        #   m = m*b1 + (1-b1)*g;  v = v*b2 + (1-b2)*g*g
-        #   p -= step * (m/c1) / (sqrt(v/c2) + eps)
-        # so the trained bits do not depend on the flat layout.
+    def adam_step(calls: list):
         nonlocal t
-        _loss_gradient_normalized(out, xb, yb, into=grads_into)
+        for call in calls:
+            call()
         t += 1
         c1 = 1.0 - beta1**t
         c2 = 1.0 - beta2**t
-        np.multiply(m_state, beta1, out=m_state)
-        np.multiply(grads, 1.0 - beta1, out=tmp)
-        np.add(m_state, tmp, out=m_state)
-        np.multiply(v_state, beta2, out=v_state)
-        np.multiply(grads, 1.0 - beta2, out=tmp)
-        np.multiply(tmp, grads, out=tmp)
-        np.add(v_state, tmp, out=v_state)
-        np.divide(m_state, c1, out=tmp)
-        np.multiply(tmp, step_size, out=tmp)
-        np.divide(v_state, c2, out=den)
-        np.sqrt(den, out=den)
-        np.add(den, eps, out=den)
-        np.divide(tmp, den, out=tmp)
-        np.subtract(params, tmp, out=params)
+        np.divide(m_state, c1, tmp)
+        np.multiply(tmp, step_size, tmp)
+        np.divide(v_state, c2, den)
+        np.sqrt(den, den)
+        np.add(den, eps, den)
+        np.divide(tmp, den, tmp)
+        np.subtract(params, tmp, params)
 
-    for epoch in range(int(epochs)):
-        if batch >= n:
-            adam_step(xn, yn)
-        else:
+    def step_calls(xb: np.ndarray, yb: np.ndarray) -> list:
+        return _gradient_calls(out, xb, yb, grads_w, grads_b) + moments
+
+    if batch >= n:
+        calls = step_calls(xn, yn)
+        for _ in range(epochs):
+            adam_step(calls)
+    else:
+        shapes = {}  # rows in a batch -> (x buffer, y buffer, that shape's calls)
+        for _ in range(epochs):
             order = rng.permutation(n)
             for start in range(0, n, batch):
                 idx = order[start : start + batch]
-                adam_step(xn[idx], yn[idx])
+                if len(idx) not in shapes:
+                    xb = np.empty((len(idx), xn.shape[1]))
+                    yb = np.empty((len(idx), yn.shape[1]))
+                    shapes[len(idx)] = xb, yb, step_calls(xb, yb)
+                xb, yb, calls = shapes[len(idx)]
+                np.take(xn, idx, axis=0, out=xb)
+                np.take(yn, idx, axis=0, out=yb)
+                adam_step(calls)
 
     final = training_loss(out, data.x, data.y)
     if not np.isfinite(final):
@@ -243,33 +272,54 @@ def _views(
     return views[:k], views[k:]
 
 
-def _loss_gradient_normalized(
+def _gradient_calls(
     net: MlpSurrogate,
-    xn: np.ndarray,
-    yn: np.ndarray,
-    into: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """`loss_gradient` on already-normalized batches.
+    xb: np.ndarray,
+    yb: np.ndarray,
+    grads_w: list[np.ndarray],
+    grads_b: list[np.ndarray],
+) -> list:
+    """In-place numpy calls that write the MSE gradient at (xb, yb) into grads_w, grads_b.
 
-    With `into` = (weight grads, bias grads) the gradients are written into
-    those arrays, which `fit` makes views of its flat gradient vector;
-    without it they are freshly allocated.
+    The calls read net's weights and biases and the batch arrays as they are
+    when run, so one list serves every step over the same arrays.  The
+    forward, delta and ReLU-mask buffers are allocated here, once per list.
+    Run in order, the calls do elementwise the same operations in the same
+    order as the allocating expressions in the comments, which keeps every
+    bit.  Outputs are passed positionally (`np.maximum` alone deprecates
+    that) and scalar operands as 0-d arrays: both are the same arithmetic,
+    with less work per call than a keyword `out` or a Python float.
     """
-    n, m = yn.shape
-    activations = [xn]
-    a = xn
+    n, m = yb.shape
     last = len(net.weights) - 1
+    zero = np.array(0.0)
+    calls = []
+    activations = [xb]
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w.T + b
-        a = np.maximum(z, 0.0) if i < last else z
+        # a = a @ w.T + b, then max(a, 0.0) on hidden layers
+        a = np.empty((n, w.shape[0]))
+        calls.append(partial(np.matmul, activations[-1], w.T, a))
+        calls.append(partial(np.add, a, b, a))
+        if i < last:
+            calls.append(partial(np.maximum, a, zero, out=a))
         activations.append(a)
-    delta = 2.0 * (activations[-1] - yn) / (n * m)
-    if into is None:
-        into = ([None] * len(net.weights), [None] * len(net.biases))
-    grads_w, grads_b = into
+    # delta = 2.0 * (a - yb) / (n * m); not r / (n*m/2), which stays finite
+    # where 2.0 * r overflows
+    delta = np.empty((n, m))
+    calls.append(partial(np.subtract, activations[-1], yb, delta))
+    calls.append(partial(np.multiply, np.array(2.0), delta, delta))
+    calls.append(partial(np.divide, delta, np.array(float(n * m)), delta))
     for i in range(last, -1, -1):
-        grads_w[i] = np.matmul(delta.T, activations[i], out=grads_w[i])
-        grads_b[i] = np.sum(delta, axis=0, out=grads_b[i])
+        # grad_w = delta.T @ activation;  grad_b = delta.sum(axis=0)
+        calls.append(partial(np.matmul, delta.T, activations[i], grads_w[i]))
+        calls.append(partial(np.add.reduce, delta, 0, None, grads_b[i]))
         if i > 0:
-            delta = (delta @ net.weights[i]) * (activations[i] > 0.0)
-    return grads_w, grads_b
+            # delta = (delta @ w) * (a > 0.0), with the mask held as 0.0/1.0,
+            # which multiplies exactly as the bool mask cast to float does
+            back = np.empty((n, net.weights[i].shape[1]))
+            mask = np.empty_like(back)
+            calls.append(partial(np.matmul, delta, net.weights[i], back))
+            calls.append(partial(np.greater, activations[i], zero, mask))
+            calls.append(partial(np.multiply, back, mask, back))
+            delta = back
+    return calls

@@ -11,6 +11,7 @@ from cnma.mlp import (
     forward,
     init_network,
     loss_gradient,
+    normalize_inputs,
     training_loss,
 )
 
@@ -137,6 +138,13 @@ class TestFit:
             fit(init_network((1, 4, 1), seed=0), data, epochs=5,
                 step_size=float("nan"))
 
+    @pytest.mark.parametrize("name,value", [
+        ("batch_size", -3), ("batch_size", 0), ("batch_size", 2.5), ("epochs", -2)])
+    def test_bad_epochs_or_batch_size_rejected(self, name, value):
+        data = Dataset(np.array([[0.0], [1.0], [2.0]]), np.array([[0.0], [1.0], [4.0]]))
+        with pytest.raises(ValueError, match=name):
+            fit(init_network((1, 4, 1), seed=0), data, **{"epochs": 2, name: value})
+
     def test_trained_net_owns_its_arrays(self):
         base = init_network((2, 5, 3, 1), seed=1)
         rng = np.random.default_rng(1)
@@ -155,30 +163,88 @@ def net_arrays(net):
 
 # (layer sizes, samples, batch size, epochs): the polak3 and band surrogate
 # shapes on the full-batch path, and a two-hidden-layer net on the minibatch
-# path with a ragged last batch (70 = 4 * 16 + 6).
+# path with a ragged last batch (70 = 4 * 16 + 6); then a one-sample dataset,
+# three hidden layers on the full batch, and minibatches that divide n
+# (48 = 4 * 12).
 REFERENCE_CASES = [
     ((12, 35, 10), 40, 1024, 150),
     ((12, 35, 10), 300, 1024, 60),
     ((4, 16, 1), 50, 256, 300),
     ((3, 8, 6, 2), 70, 16, 25),
+    ((5, 7, 2), 1, 256, 80),
+    ((3, 9, 7, 5, 2), 30, 1024, 60),
+    ((4, 10, 3), 48, 12, 20),
 ]
+
+
+def reference_data(sizes, n, seed):
+    rng = np.random.default_rng(100 + seed)
+    x = rng.uniform(-3, 3, size=(n, sizes[0]))
+    y = np.sin(x @ rng.normal(size=(sizes[0], sizes[-1]))) + 0.1 * rng.normal(
+        size=(n, sizes[-1]))
+    return Dataset(x, y)
+
+
+def assert_same_bytes(got, want):
+    for a, b in zip(got.weights + got.biases, want.weights + want.biases, strict=True):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("sizes,n,batch,epochs", REFERENCE_CASES)
 def test_fit_matches_per_array_reference_bit_for_bit(sizes, n, batch, epochs, seed):
-    rng = np.random.default_rng(100 + seed)
-    x = rng.uniform(-3, 3, size=(n, sizes[0]))
-    y = np.sin(x @ rng.normal(size=(sizes[0], sizes[-1]))) + 0.1 * rng.normal(
-        size=(n, sizes[-1]))
-    data = Dataset(x, y)
+    data = reference_data(sizes, n, seed)
     kw = dict(epochs=epochs, batch_size=batch, seed=seed)
     got, loss = fit(init_network(sizes, seed), data, **kw)
     want, want_loss = reference_adam.fit(init_network(sizes, seed), data, **kw)
     assert loss == want_loss
-    for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+    assert_same_bytes(got, want)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("sizes,n,batch,epochs", REFERENCE_CASES)
+def test_loss_gradient_matches_reference_bit_for_bit(sizes, n, batch, epochs, seed):
+    data = reference_data(sizes, n, seed)
+    # a few training steps give the net a real normalization and weights
+    # away from their initial draw
+    net, _ = fit(init_network(sizes, seed), data, epochs=3, batch_size=batch, seed=seed)
+    xn = normalize_inputs(net, data.x)
+    yn = (data.y - net.output_shift) / net.output_scale
+    got_w, got_b = loss_gradient(net, data.x, data.y)
+    want_w, want_b = reference_adam._loss_gradient_normalized(net, xn, yn)
+    for a, b in zip(got_w + got_b, want_w + want_b, strict=True):
         assert a.shape == b.shape
         assert a.tobytes() == b.tobytes()
+
+
+def test_loss_gradient_matches_reference_when_the_residual_overflows():
+    # one residual of 1.5e308 among zeros: 2.0 * r overflows to inf, while
+    # r / (n*m/2) and the bias gradient's sum would stay finite, so the two
+    # ways of writing delta give different bytes
+    x = np.array([[1.5e308], [0.0], [0.0], [0.0]])
+    y = np.zeros((4, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gw, gb = loss_gradient(relu_identity_net(), x, y)
+        want_w, want_b = reference_adam._loss_gradient_normalized(relu_identity_net(), x, y)
+    assert np.isinf(gb[-1]).all()
+    for a, b in zip(gw + gb, want_w + want_b, strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_fits_of_two_shapes_share_no_buffer():
+    """Each fit matches the reference, and a later fit leaves an earlier net's bytes alone."""
+    (sizes_a, n_a, batch_a, epochs_a), (sizes_b, n_b, batch_b, epochs_b) = (
+        REFERENCE_CASES[2], REFERENCE_CASES[3])
+    data_a, data_b = reference_data(sizes_a, n_a, 0), reference_data(sizes_b, n_b, 1)
+    kw_a = dict(epochs=epochs_a, batch_size=batch_a, seed=0)
+    kw_b = dict(epochs=epochs_b, batch_size=batch_b, seed=1)
+    first, _ = fit(init_network(sizes_a, 0), data_a, **kw_a)
+    snapshot = [p.tobytes() for p in first.weights + first.biases]
+    second, _ = fit(init_network(sizes_b, 1), data_b, **kw_b)
+    assert [p.tobytes() for p in first.weights + first.biases] == snapshot
+    assert_same_bytes(first, reference_adam.fit(init_network(sizes_a, 0), data_a, **kw_a)[0])
+    assert_same_bytes(second, reference_adam.fit(init_network(sizes_b, 1), data_b, **kw_b)[0])
 
 
 class TestDataset:
