@@ -9,6 +9,8 @@ score +inf), which keeps the simplex method unmodified.
 """
 from __future__ import annotations
 
+from typing import NoReturn
+
 import numpy as np
 
 from .problem import ProblemSpec
@@ -28,7 +30,7 @@ def random_search(
     """Evaluate independent uniform samples until the session stops the run."""
     session = Session(problem, "random", eval_budget, seed, objective_target, trace)
 
-    def body() -> None:
+    def body() -> NoReturn:
         while True:
             session.iteration += 1
             session.evaluate(session.draw(), "eval")
@@ -80,7 +82,7 @@ def nelder_mead(
         fs = np.array([score(p) for p in xs])
         return xs, fs
 
-    def body() -> None:
+    def body() -> NoReturn:
         xs, fs = build_simplex(session.draw())
         while True:
             session.iteration += 1

@@ -323,7 +323,7 @@ class EvalHarness:
     """
 
     def __init__(self, ref: BlackboxRef, out_arity: int, timeout: float):
-        if timeout <= 0:
+        if not timeout > 0:  # NaN too; inf means no limit
             raise ValueError(f"timeout must be positive, got {timeout}")
         self.ref = ref
         self.out_arity = int(out_arity)

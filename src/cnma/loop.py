@@ -21,14 +21,17 @@ iteration; `pattern_probes=0` restores that loop.
 Every blackbox call, including timeouts and initialization, counts against
 the evaluation budget.  The run's `Session` ends it: each iteration begins
 with its stop check, so a run whose target is reached or whose budget is
-spent stops before it trains another surrogate.  Identical (problem, config,
-seed) produce identical runs.
+spent stops before it trains another surrogate.  Each iteration spends at
+least one call (its proposal, or a random sample), so the budget is the
+run's only bound.  Identical (problem, config, seed) produce identical runs.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields as dataclass_fields
 from numbers import Integral, Real
+from typing import NoReturn
 
 import numpy as np
 
@@ -44,7 +47,6 @@ from .trace import TraceRecorder
 @dataclass
 class CnmaConfig:
     n_initial: int = 2
-    max_iterations: int = 1000
     eval_budget: int = 1000
     seed: int = 0
     net_hidden: tuple[int, ...] = (30,)
@@ -62,7 +64,7 @@ class CnmaConfig:
                 f"solver option 'net_hidden' needs widths >= 1, got {list(self.net_hidden)}"
             )
         for name, least in (("batch_size", 1), ("epochs", 1), ("milp_node_budget", 1),
-                            ("pattern_probes", 0), ("n_initial", 0), ("max_iterations", 0)):
+                            ("pattern_probes", 0), ("n_initial", 0)):
             value = getattr(self, name)
             if not isinstance(value, Integral) or value < least:
                 raise ValueError(
@@ -142,9 +144,9 @@ def cnma_run(
     run = _Run(problem, config, trace)
     records: list[IterationRecord] = []
 
-    def body() -> None:
+    def body() -> NoReturn:
         run.random_fill(config.n_initial, "init")
-        for it in range(1, config.max_iterations + 1):
+        for it in itertools.count(1):
             run.check()  # a spent budget stops the run before training
             if not run.samples:
                 run.random_fill(1)

@@ -4,15 +4,15 @@ A `MilpModel` is one compiled MILP: variable names and bounds, the integer
 columns, the rows `A x (relations) b` and the objective vector.
 `encode_network` writes a trained `MlpSurrogate` straight into that form:
 per-neuron interval bounds are propagated from the input box, each stable
-neuron becomes one equality row and each unstable neuron a binary indicator
-column and four big-M rows.  `conjoin` appends rows and an objective written
-over variable names, such as a problem's constraints; `milp_model` builds a
-model from named variables the same way.  `region_models` builds
-activation-region probes: with every neuron's sign fixed to one input's
-pattern the network is affine, so a probe is a model over the inputs
-alone, whose optimum is the full model's with its indicators pinned.
-`_neuron_states` is the one rule both use to tell stable neurons from
-unstable ones.
+neuron becomes one equality row and each unstable neuron a 0/1 integer
+indicator column and four big-M rows.  `conjoin` appends rows and an
+objective written over variable names, such as a problem's constraints;
+`milp_model` builds a model from named variables the same way.
+`region_models` builds activation-region probes: with every neuron's sign
+fixed to one input's pattern the network is affine, so a probe is a model
+over the inputs alone, whose optimum is the full model's with its
+indicators pinned.  `_neuron_states` is the one rule both use to tell
+stable neurons from unstable ones.
 `solve` runs best-bound branch and bound over the dense simplex in
 `simplex.py`, each child LP warm-started from its parent's basis.  The
 tests check it against a brute-force enumeration of integer assignments.
@@ -32,6 +32,7 @@ from . import simplex
 from .mlp import MlpSurrogate, normalize_inputs
 from .problem import (
     NAME_PATTERN,
+    VARIABLE_KINDS,
     LinearConstraint,
     LinearExpr,
     ProblemSpec,
@@ -48,9 +49,6 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 BUDGET_EXCEEDED = "budget_exceeded"
 
-MILP_KINDS = ("continuous", "binary", "integer")
-
-
 class MilpModelError(ValueError):
     """Model failed validation."""
 
@@ -65,7 +63,7 @@ class MilpModel:
     lower <= x <= upper, and x integral on `int_cols`.
 
     `indicators` has one entry per hidden neuron of an encoded network, in
-    layer order: the column of its binary indicator, or -1 where the encoder
+    layer order: the column of its 0/1 indicator, or -1 where the encoder
     proved the neuron stable.  Build models with `milp_model`,
     `encode_network` and `conjoin`, which validate them.
     """
@@ -99,23 +97,13 @@ def milp_model(
 ) -> MilpModel:
     """Compile a model written over named variables.
 
-    Each variable's kind is continuous, binary or integer.  Raises
-    `MilpModelError` on an invalid model.
+    Each variable's kind is one of `VARIABLE_KINDS` (continuous or
+    integer).  Raises `MilpModelError` on an invalid model.
     """
-    errors: list[str] = []
-    for v in variables:
-        if v.kind not in MILP_KINDS:
-            errors.append(f"variable '{v.name}' has unknown kind '{v.kind}'")
-        elif v.kind == "binary" and not (
-            -FEAS_TOL <= v.lower <= 1 + FEAS_TOL
-            and -FEAS_TOL <= v.upper <= 1 + FEAS_TOL
-        ):
-            errors.append(
-                f"binary '{v.name}' has bounds outside [0,1]: "
-                f"[{v.lower}, {v.upper}]"
-            )
-    if errors:
-        raise MilpModelError("; ".join(errors))
+    unknown = [f"variable '{v.name}' has unknown kind '{v.kind}'"
+               for v in variables if v.kind not in VARIABLE_KINDS]
+    if unknown:
+        raise MilpModelError("; ".join(unknown))
     n = len(variables)
     columns = MilpModel(
         names=[v.name for v in variables],

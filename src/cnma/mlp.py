@@ -43,6 +43,10 @@ class Dataset:
     def __post_init__(self):
         self.x = np.atleast_2d(np.asarray(self.x, dtype=float))
         self.y = np.atleast_2d(np.asarray(self.y, dtype=float))
+        if self.x.ndim != 2 or self.y.ndim != 2:
+            raise ValueError(
+                f"x and y must be 2-D, got shapes {self.x.shape} and {self.y.shape}"
+            )
         if self.x.shape[0] != self.y.shape[0]:
             raise ValueError(
                 f"x has {self.x.shape[0]} rows but y has {self.y.shape[0]}"
@@ -169,6 +173,8 @@ def fit(
     for name, value in (("epochs", epochs), ("batch_size", batch_size)):
         if not isinstance(value, Integral) or value < 1:
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    if step_size <= 0:  # a NaN step goes on, to fail as TrainingDivergedError
+        raise ValueError(f"step_size must be positive, got {step_size!r}")
     if data.x.shape[1] != net.n_inputs or data.y.shape[1] != net.n_outputs:
         raise ValueError(
             f"dataset shape ({data.x.shape[1]} -> {data.y.shape[1]}) does not "

@@ -110,10 +110,9 @@ def constraint_violation(
 def check_constraints(
     constraints: Iterable[LinearConstraint],
     assignment: Mapping[str, float],
-    tol: float = CONSTRAINT_TOL,
 ) -> bool:
-    """True iff every constraint holds within the normalized tolerance."""
-    return all(constraint_violation(c, assignment) <= tol for c in constraints)
+    """True iff every constraint holds within the normalized CONSTRAINT_TOL."""
+    return all(constraint_violation(c, assignment) <= CONSTRAINT_TOL for c in constraints)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from numbers import Real
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -52,7 +52,7 @@ class RunResult:
     best_y: tuple[float, ...] | None
     best_phi: float | None
     feasible_found: bool
-    stop_reason: str  # objective_target | eval_budget | max_iterations
+    stop_reason: str  # objective_target | eval_budget: a Stop ends every run
     counter: EvalCounter
     iterations: list = field(default_factory=list)  # cnma's IterationRecords
 
@@ -97,33 +97,30 @@ class Session:
         self.best_y: tuple[float, ...] | None = None
         self.best_phi: float | None = None
 
-    @property
-    def target_hit(self) -> bool:
-        if self.target is None or self.best_phi is None:
-            return False
-        return self.sign * self.best_phi <= self.sign * self.target + 1e-12
-
     def draw(self) -> np.ndarray:
         return sample_uniform(self.problem.inputs, 1, self.rng)[0]
 
     def check(self) -> None:
         """Raise `Stop` if the run is over: the target first, then the budget."""
-        if self.target_hit:
+        hit = self.target is not None and self.best_phi is not None
+        if hit and self.sign * self.best_phi <= self.sign * self.target + 1e-12:
             raise Stop("objective_target")
         if self.harness.counter.total_calls >= self.budget:
             raise Stop("eval_budget")
 
-    def drive(self, body: Callable[[], None], iterations: list | None = None) -> RunResult:
-        """Run `body` until it raises `Stop` or returns, then close the harness.
+    def drive(self, body: Callable[[], NoReturn], iterations: list | None = None) -> RunResult:
+        """Run `body` until it raises `Stop`, then close the harness.
 
-        A body that returns has run out of iterations.  `iterations` is the
-        list the body fills with its per-iteration records, if it keeps any.
+        Every body spends a call in each pass of its loop, so the budget ends
+        it; a body that returns is a bug.  `iterations` is the list the body
+        fills with its per-iteration records, if it keeps any.
         """
         try:
             body()
-            reason = "objective_target" if self.target_hit else "max_iterations"
         except Stop as stop:
             reason = stop.reason
+        else:
+            raise RuntimeError(f"the {self.solver} body returned without a Stop")
         finally:
             self.harness.close()
         return RunResult(
@@ -142,8 +139,6 @@ class Session:
         """One accounted blackbox call plus its trace row(s); `check` comes first."""
         self.check()
         rec = self.harness.evaluate(x)
-        # wall_ms stays 0 in emitted rows: per-call timing is scheduler noise
-        # and would break byte-identical reruns; EvalRecord keeps the real one
         if rec.status != OK:
             # errors share the timeout row; both are discarded identically
             self.trace.emit(

@@ -11,7 +11,9 @@ else.  Verdict rows carry a blank eval_seq; eval_seq is strictly increasing
 over the rows that have one.  The session stops a run only before a call,
 so a run's last row is the verdict or timeout row of its last call.  Floats
 are written with repr so a re-run with the same seed produces byte-identical
-data columns.
+data columns.  wall_ms is always written as 0, since per-call timing is
+scheduler noise and would break byte-identical reruns (`EvalRecord.wall_time`
+keeps it); `load_trace` still reads the column.
 """
 from __future__ import annotations
 
@@ -133,7 +135,6 @@ class TraceRecorder:
         y=None,
         phi: float | None = None,
         best_phi: float | None = None,
-        wall_ms: float = 0.0,
     ) -> None:
         if event not in EVENTS:
             raise ValueError(f"unknown trace event '{event}'")
@@ -151,7 +152,7 @@ class TraceRecorder:
             self._head, _fmt(iteration), _fmt(eval_seq), event, *xs, *ys,
             "" if phi is None else repr(float(phi)),
             "" if best_phi is None else repr(float(best_phi)),
-            f"{int(wall_ms)}\n",
+            "0\n",  # wall_ms
         ]))
 
     def header(self) -> list[str]:

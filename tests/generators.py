@@ -139,7 +139,7 @@ def random_milp(rng: np.random.Generator, max_binaries=10) -> milp.MilpModel:
     """Random boxed MILP with integer data; may be feasible or not."""
     n_bin = int(rng.integers(0, max_binaries + 1))
     n_cont = int(rng.integers(1, 5))
-    variables = [VariableSpec(f"b{i}", 0.0, 1.0, "binary") for i in range(n_bin)]
+    variables = [VariableSpec(f"b{i}", 0.0, 1.0, "integer") for i in range(n_bin)]
     for i in range(n_cont):
         lo = float(rng.integers(-4, 1))
         variables.append(VariableSpec(f"c{i}", lo, lo + float(rng.integers(1, 6))))

@@ -215,7 +215,7 @@ def test_criterion_7_timeout_resilience():
     started = time.perf_counter()
     trace = recorder_for(problem, "band-cnma-s1")
     config = CnmaConfig.for_problem(
-        problem, eval_budget=100, max_iterations=500, seed=1
+        problem, eval_budget=100, seed=1
     )
     result = cnma_run(problem, config, trace)
     elapsed = time.perf_counter() - started

@@ -105,12 +105,21 @@ class TestTimeouts:
         monkeypatch.setenv("CNMA_EVAL_TIMEOUT_SECS", raw)
         assert resolve_timeout(3.5) == 3.5
 
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, math.nan])
+    def test_timeout_must_be_positive(self, timeout):
+        # a NaN timeout used to be taken, then fail in poll() on the first call
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            harness_for("rosenbrock", 1, timeout=timeout)
+
     @pytest.mark.parametrize("timeout", [1e10, 1e300])
     def test_huge_finite_timeout_waits_for_the_answer(self, timeout):
         # longer than one poll() wait and than the platform's time_t
         with harness_for("sleeper", 1, timeout=timeout) as h:
             rec = h.evaluate([0.05])
         assert rec.status == OK
+
+    def test_infinite_timeout_waits_for_the_answer(self):
+        self.test_huge_finite_timeout_waits_for_the_answer(math.inf)
 
 
 class TestAccounting:

@@ -11,7 +11,6 @@ from cnma.cli import REPORT_COLUMNS, main
 from cnma.trace import load_trace, validate_trace
 
 FAST_CNMA = {
-    "max_iterations": 3,
     "epochs": 40,
     "net_hidden": [6],
     "n_initial": 2,
@@ -90,7 +89,7 @@ class TestRun:
         trace_path = tmp_path / "c.csv"
         summary = run_json(
             capsys, "run", "--problem", "rosenbrock", "--solver", "cnma",
-            "--budget", "8", "--seed", "2", "--trace", str(trace_path),
+            "--budget", "5", "--seed", "2", "--trace", str(trace_path),
             "--config", config_path,
         )
         assert summary["solver"] == "cnma"
@@ -262,9 +261,20 @@ class TestRunUsageErrors:
         assert code == 2
         assert "turbo" in err
 
+    def test_max_iterations_is_not_an_option(self, tmp_path, capsys):
+        # the evaluation budget is a run's only bound
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"max_iterations": 3}')
+        code, _, err = run_cli(
+            capsys, "run", "--problem", "rosenbrock", "--solver", "cnma",
+            "--budget", "5", "--seed", "1", "--config", str(bad),
+        )
+        assert code == 2
+        assert "unknown solver option 'max_iterations'" in err
+
     @pytest.mark.parametrize("option", [
         {"batch_size": 0}, {"epochs": -5}, {"net_hidden": [0]},
-        {"max_iterations": -1}, {"objective_target": float("nan")}])
+        {"milp_node_budget": 0}, {"objective_target": float("nan")}])
     def test_bad_config_value_exits_before_any_call(self, tmp_path, capsys,
                                                     monkeypatch, option):
         def no_calls(*args, **kwargs):

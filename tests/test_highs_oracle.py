@@ -11,7 +11,7 @@ from cnma.problem import LinearConstraint, linear
 
 from generators import net_box, random_milp, random_net
 from test_milp import region_cases
-from test_simplex import degenerate_instance, random_instance
+from test_simplex import degenerate_instance, random_instance, solve_either_sense
 
 optimize = pytest.importorskip("scipy.optimize")
 
@@ -83,7 +83,7 @@ def test_solve_lp_agrees_with_highs():
                 rng, n=int(rng.integers(2, 10)), m=int(rng.integers(1, 10))
             )
         maximize = bool(rng.integers(0, 2))
-        got = simplex.solve_lp(c, A, rel, b, lo, hi, maximize=maximize)
+        got = solve_either_sense(c, A, rel, b, lo, hi, maximize=maximize)
         status, value = highs_lp(c, A, rel, b, lo, hi, maximize)
         assert got.status == status
         if status == simplex.OPTIMAL:

@@ -25,6 +25,7 @@ from cnma.problem import (
     linear,
     load_problem,
 )
+from cnma.session import Session
 from cnma.simplex import LpNumericalError
 from cnma.trace import EVAL_EVENTS, validate_trace
 
@@ -47,8 +48,7 @@ def rosenbrock_problem(constraints=(), solver_defaults=None):
 def fast_config(**overrides) -> CnmaConfig:
     base = dict(
         n_initial=2,
-        max_iterations=4,
-        eval_budget=60,
+        eval_budget=6,  # the 2 initial samples and 4 iterations of one call each
         seed=1,
         net_hidden=(6,),
         epochs=40,
@@ -76,7 +76,7 @@ class TestUnsatisfiable:
         res = cnma_run(problem, fast_config(), trace)
         assert res.best_phi is None
         assert not res.feasible_found
-        assert res.stop_reason == "max_iterations"
+        assert res.stop_reason == "eval_budget"
         assert len(res.iterations) == 4
         assert all(r.outcome == "random" for r in res.iterations)
         assert all(r.proposed_x is None for r in res.iterations)
@@ -93,7 +93,7 @@ class TestLearningFromFailure:
         problem = rosenbrock_problem(
             constraints=[LinearConstraint(linear((1.0, "f")), "<=", 5.0)]
         )
-        res = cnma_run(problem, fast_config(max_iterations=6, seed=3))
+        res = cnma_run(problem, fast_config(eval_budget=8, seed=3))
         evaluated = [r for r in res.iterations if r.eval_status == "ok"]
         fills = sum(1 for r in res.iterations if r.outcome == "random")
         assert res.counter.ok == 2 + len(evaluated) + fills
@@ -105,7 +105,7 @@ class TestLearningFromFailure:
         problem = rosenbrock_problem(
             constraints=[LinearConstraint(linear((1.0, "f")), "<=", 5.0)]
         )
-        res = cnma_run(problem, fast_config(max_iterations=6, seed=5))
+        res = cnma_run(problem, fast_config(eval_budget=8, seed=5))
         for r in res.iterations:
             if r.outcome == "failure":
                 point = problem.assignment(r.proposed_x, r.actual_y)
@@ -118,7 +118,7 @@ class TestAccounting:
             constraints=[LinearConstraint(linear((1.0, "f")), "<=", 100.0)]
         )
         trace = recorder(problem)
-        res = cnma_run(problem, fast_config(max_iterations=5), trace)
+        res = cnma_run(problem, fast_config(eval_budget=7), trace)
         c = res.counter
         assert c.total_calls == c.ok + c.timeouts + c.errors
         seqs = [r.eval_seq for r in trace.read().rows if r.eval_seq is not None]
@@ -128,7 +128,7 @@ class TestAccounting:
 
     def test_eval_budget_is_exact(self):
         problem = rosenbrock_problem()
-        res = cnma_run(problem, fast_config(eval_budget=7, max_iterations=50))
+        res = cnma_run(problem, fast_config(eval_budget=7))
         assert res.stop_reason == "eval_budget"
         assert res.counter.total_calls == 7
 
@@ -154,7 +154,7 @@ class TestSolutionIntegrity:
             constraints=[LinearConstraint(linear((1.0, "f")), "<=", 100.0)]
         )
         trace = recorder(problem)
-        res = cnma_run(problem, fast_config(max_iterations=5, seed=2), trace)
+        res = cnma_run(problem, fast_config(eval_budget=7, seed=2), trace)
         assert res.feasible_found
         point = problem.assignment(res.best_x, res.best_y)
         assert check_constraints(problem.constraints, point)
@@ -168,7 +168,7 @@ class TestSolutionIntegrity:
 
     def test_best_phi_is_monotone_across_iterations(self):
         problem = rosenbrock_problem()
-        res = cnma_run(problem, fast_config(max_iterations=6, seed=7))
+        res = cnma_run(problem, fast_config(eval_budget=8, seed=7))
         seen = [r.best_phi for r in res.iterations if r.best_phi is not None]
         assert all(a >= b for a, b in zip(seen, seen[1:]))
 
@@ -177,23 +177,27 @@ class TestStopping:
     def test_objective_target(self):
         problem = rosenbrock_problem()
         res = cnma_run(
-            problem, fast_config(max_iterations=20, objective_target=500.0)
+            problem, fast_config(eval_budget=22, objective_target=500.0)
         )
         assert res.stop_reason == "objective_target"
         assert res.best_phi <= 500.0
         # f <= 3609 on the box: the first initial draw reaches 1e6, and the
         # run stops before the second
         res = cnma_run(
-            problem, fast_config(max_iterations=20, objective_target=1e6)
+            problem, fast_config(eval_budget=22, objective_target=1e6)
         )
         assert res.stop_reason == "objective_target"
         assert res.counter.total_calls == 1
         assert res.iterations == []
 
-    def test_max_iterations_zero_only_samples(self):
+    def test_budget_spent_by_init_trains_nothing(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("trained after the budget was spent")
+
+        monkeypatch.setattr(loop, "fit", no_fit)
         problem = rosenbrock_problem()
-        res = cnma_run(problem, fast_config(max_iterations=0))
-        assert res.stop_reason == "max_iterations"
+        res = cnma_run(problem, fast_config(eval_budget=2))
+        assert res.stop_reason == "eval_budget"
         assert res.iterations == []
         assert res.counter.total_calls == 2
 
@@ -203,7 +207,7 @@ SOLVERS = ("cnma", "random", "nelder-mead")
 
 def run_solver(solver, problem, budget, trace, target=None):
     if solver == "cnma":
-        config = fast_config(eval_budget=budget, max_iterations=100, objective_target=target)
+        config = fast_config(eval_budget=budget, objective_target=target)
         return cnma_run(problem, config, trace)
     search = random_search if solver == "random" else nelder_mead
     return search(problem, budget, seed=1, objective_target=target, trace=trace)
@@ -324,7 +328,8 @@ class TestProbeErrors:
 
         monkeypatch.setattr(milp, "solve", solve)
         monkeypatch.setattr(milp, "region_models", region_models)
-        res = cnma_run(rosenbrock_problem(), fast_config(n_initial=6, pattern_probes=6))
+        res = cnma_run(rosenbrock_problem(),
+                       fast_config(n_initial=6, eval_budget=10, pattern_probes=6))
         assert len(probes) == len(res.iterations)
         went_on = 0
         for record, statuses in zip(res.iterations, probes):
@@ -385,7 +390,7 @@ class TestFullSolveRule:
     def test_full_solve_only_when_no_probe_improves(self, monkeypatch, constraints):
         seen = self.watch(monkeypatch)
         res = cnma_run(rosenbrock_problem(constraints),
-                       fast_config(max_iterations=10, pattern_probes=3))
+                       fast_config(eval_budget=12, pattern_probes=3))
         assert len(seen) == len(res.iterations)
         skipped = 0
         for entry, record in zip(seen, res.iterations):
@@ -401,7 +406,7 @@ class TestFullSolveRule:
 
     def test_no_probes_solve_in_full_every_iteration(self, monkeypatch):
         seen = self.watch(monkeypatch)
-        res = cnma_run(rosenbrock_problem(), fast_config(max_iterations=6, pattern_probes=0))
+        res = cnma_run(rosenbrock_problem(), fast_config(eval_budget=8, pattern_probes=0))
         assert len(seen) == len(res.iterations) == 6
         assert all(entry["full"] == 1 and not entry["regions"] for entry in seen)
         assert all(r.milp_status != loop.SKIPPED for r in res.iterations)
@@ -512,15 +517,26 @@ class TestNoChildLeft:
     """No process a run starts outlives it, however the run ends."""
 
     def test_no_child_outlives_a_normal_run(self, workers):
-        res = cnma_run(rosenbrock_problem(), fast_config())
-        assert res.stop_reason == "max_iterations"
+        res = cnma_run(rosenbrock_problem(), fast_config(eval_budget=22, objective_target=500.0))
+        assert res.stop_reason == "objective_target"
         assert len(workers) == 1
         assert_no_child_left(workers)
         assert workers[0].returncode == 0  # it left on end of file
 
     def test_no_child_outlives_an_exhausted_budget(self, workers):
-        res = cnma_run(rosenbrock_problem(), fast_config(eval_budget=4, max_iterations=10))
+        res = cnma_run(rosenbrock_problem(), fast_config(eval_budget=4))
         assert res.stop_reason == "eval_budget"
+        assert_no_child_left(workers)
+
+    def test_no_child_outlives_a_body_that_returns(self, workers):
+        # every solver body loops until a Stop; one that returns is a bug
+        session = Session(rosenbrock_problem(), "cnma", eval_budget=5, seed=1)
+
+        def body():
+            session.evaluate(session.draw(), "eval")
+
+        with pytest.raises(RuntimeError, match="returned without a Stop"):
+            session.drive(body)
         assert_no_child_left(workers)
 
     def test_no_child_outlives_an_error_from_fit(self, workers, monkeypatch):

@@ -266,8 +266,8 @@ class TestSolve:
     def test_binary_knapsack(self):
         model = milp_model(
             [
-                VariableSpec("a", 0.0, 1.0, "binary"),
-                VariableSpec("b", 0.0, 1.0, "binary"),
+                VariableSpec("a", 0.0, 1.0, "integer"),
+                VariableSpec("b", 0.0, 1.0, "integer"),
             ],
             [LinearConstraint(linear((1.0, "a"), (1.0, "b")), "<=", 1.0)],
             linear((3.0, "a"), (2.0, "b")),
@@ -301,7 +301,7 @@ class TestSolve:
 
     def test_time_budget_zero_exceeds_immediately(self):
         model = milp_model(
-            [VariableSpec("a", 0.0, 1.0, "binary")],
+            [VariableSpec("a", 0.0, 1.0, "integer")],
             [],
             linear((1.0, "a")),
             "maximize",
@@ -334,7 +334,8 @@ class TestSolve:
             )
 
     def test_binary_bounds_outside_unit_rejected(self):
-        with pytest.raises(MilpModelError, match="binary"):
+        # there is no binary kind: a 0/1 variable is an integer on [0, 1]
+        with pytest.raises(MilpModelError, match="unknown kind 'binary'"):
             milp_model([VariableSpec("d", 0.0, 2.0, "binary")], [])
 
     @pytest.mark.parametrize(
@@ -424,14 +425,14 @@ class TestBruteForceOracle:
 
     def test_all_enumerations_infeasible(self):
         model = milp_model(
-            [VariableSpec("a", 0.0, 1.0, "binary")],
+            [VariableSpec("a", 0.0, 1.0, "integer")],
             [LinearConstraint(linear((1.0, "a")), ">=", 2.0)],
         )
         assert brute_force_milp(model).status == INFEASIBLE
 
     def test_too_many_combinations_refused(self):
         variables = [
-            VariableSpec(f"b{i}", 0.0, 1.0, "binary") for i in range(21)
+            VariableSpec(f"b{i}", 0.0, 1.0, "integer") for i in range(21)
         ]
         with pytest.raises(MilpModelError, match="refused"):
             brute_force_milp(milp_model(variables, []))

@@ -1,4 +1,5 @@
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -145,6 +146,13 @@ class TestFit:
         with pytest.raises(ValueError, match=name):
             fit(init_network((1, 4, 1), seed=0), data, **{"epochs": 2, name: value})
 
+    @pytest.mark.parametrize("step_size", [0.0, -1e-3])
+    def test_non_positive_step_size_rejected(self, step_size):
+        # a 0 step returned the untrained net; a negative one climbed the loss
+        data = Dataset(np.array([[0.0], [1.0], [2.0]]), np.array([[0.0], [1.0], [4.0]]))
+        with pytest.raises(ValueError, match="step_size"):
+            fit(init_network((1, 4, 1), seed=0), data, epochs=2, step_size=step_size)
+
     def test_trained_net_owns_its_arrays(self):
         base = init_network((2, 5, 3, 1), seed=1)
         rng = np.random.default_rng(1)
@@ -259,6 +267,11 @@ class TestDataset:
     def test_nonfinite(self):
         with pytest.raises(ValueError):
             Dataset(np.array([[np.inf]]), np.array([[1.0]]))
+
+    @pytest.mark.parametrize("x_shape,y_shape", [((3, 2, 5), (3, 1)), ((3, 2), (3, 1, 1))])
+    def test_more_than_two_dimensions_rejected(self, x_shape, y_shape):
+        with pytest.raises(ValueError, match=re.escape(f"{x_shape} and {y_shape}")):
+            Dataset(np.ones(x_shape), np.ones(y_shape))
 
 
 def finite_difference(net, x, y, h=1e-5):

@@ -31,16 +31,16 @@ class KeptRecorder(BufferedRecorder):
         self.emitted: list[TraceRow] = []
 
     def emit(self, event, *, iteration=None, eval_seq=None, x=None, y=None,
-             phi=None, best_phi=None, wall_ms=0.0):
+             phi=None, best_phi=None):
         super().emit(event, iteration=iteration, eval_seq=eval_seq, x=x, y=y,
-                     phi=phi, best_phi=best_phi, wall_ms=wall_ms)
+                     phi=phi, best_phi=best_phi)
         self.emitted.append(TraceRow(
             self.run_id, self.solver, iteration, eval_seq, event,
             None if x is None else tuple(float(v) for v in x),
             None if y is None else tuple(float(v) for v in y),
             None if phi is None else float(phi),
             None if best_phi is None else float(best_phi),
-            int(wall_ms),
+            0,  # wall_ms is always written as 0
         ))
 
 
@@ -51,7 +51,7 @@ def emit_minimize(rec: TraceRecorder) -> TraceRecorder:
     rec.emit("propose", iteration=1, x=(0.25, 0.75), phi=1.2, best_phi=2.0)
     rec.emit(
         "eval", iteration=1, eval_seq=2, x=(0.25, 0.75), y=(1.5,), phi=1.5,
-        best_phi=2.0, wall_ms=12,
+        best_phi=2.0,
     )
     rec.emit("feasible", iteration=1, x=(0.25, 0.75), y=(1.5,), phi=1.5, best_phi=1.5)
     rec.emit(
@@ -169,7 +169,7 @@ def emit_awkward(rec: TraceRecorder) -> TraceRecorder:
     awkward = (float("nan"), float("inf"), float("-inf"), -0.0, 1e-300)
     for i, v in enumerate(awkward, start=6):
         rec.emit("eval", iteration=i, eval_seq=i, x=(v, -v), y=(v,), phi=v,
-                 best_phi=None, wall_ms=i)
+                 best_phi=None)
         rec.emit("infeasible", iteration=i, x=(v, -v), y=(v,), phi=v)
     rec.emit("timeout", iteration=11, eval_seq=11, x=(-0.0, 0.0), best_phi=-0.0)
     rec.emit("milp_infeasible", iteration=12)
@@ -226,7 +226,7 @@ def emit_memory(rec: TraceRecorder) -> int:
         for i in range(1, 50_001):
             x, y = (i / 7, -i / 3, 0.1 * i), (i / 11, 1e-3 * i)
             rec.emit("eval", iteration=i, eval_seq=i, x=x, y=y, phi=y[0],
-                     best_phi=None, wall_ms=1)
+                     best_phi=None)
         current, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -246,6 +246,14 @@ class TestLoadStream:
     def test_empty_stream(self):
         with pytest.raises(TraceFormatError, match="empty trace file"):
             load_trace(io.StringIO("", newline=""))
+
+    def test_nonzero_wall_ms_is_read(self):
+        # the recorder writes 0, but a trace written by other code may time its rows
+        text = (
+            "run_id,solver,iteration,eval_seq,event,x:a,y:f,phi,best_phi,wall_ms\n"
+            "r,cnma,0,1,init,0.5,1.0,1.0,,12\n"
+        )
+        assert load_trace(io.StringIO(text, newline="")).rows[0].wall_ms == 12
 
 
 class TestLoadErrors:
