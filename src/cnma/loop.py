@@ -58,11 +58,14 @@ class CnmaConfig:
     objective_target: float | None = None
 
     def __post_init__(self):
-        self.net_hidden = tuple(int(h) for h in self.net_hidden)
-        if any(h < 1 for h in self.net_hidden):
+        hidden = self.net_hidden
+        if not isinstance(hidden, (list, tuple)) or any(
+            isinstance(h, bool) or not isinstance(h, Integral) or h < 1 for h in hidden
+        ):
             raise ValueError(
-                f"solver option 'net_hidden' needs widths >= 1, got {list(self.net_hidden)}"
+                f"solver option 'net_hidden' needs a list of integer widths >= 1, got {hidden!r}"
             )
+        self.net_hidden = tuple(int(h) for h in hidden)
         for name, least in (("batch_size", 1), ("epochs", 1), ("milp_node_budget", 1),
                             ("pattern_probes", 0), ("n_initial", 0)):
             value = getattr(self, name)

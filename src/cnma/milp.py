@@ -203,7 +203,7 @@ def solve(
     A rounding heuristic is probed at the root and every `HEURISTIC_EVERY`
     nodes so budgeted runs usually do carry an incumbent.  Each child LP
     warm-starts from its parent's optimal basis; the root and the rounding
-    LPs start cold.
+    LPs start from the slack basis.
     """
     sign = -1.0 if model.sense == "maximize" else 1.0
     c_int = sign * model.c

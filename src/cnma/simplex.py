@@ -1,21 +1,42 @@
-"""Dense two-phase simplex for LPs with explicit variable bounds, and a
-bounded dual simplex that re-solves from an optimal basis after bounds change.
+"""Bounded dual simplex for LPs with explicit variable bounds.
 
 Handles problems of the form
 
     min c.x  subject to  A x (<=, >=, =) b,  lower <= x <= upper
 
 with finite bounds on every structural variable (the MILP layer guarantees
-this; compactness also rules out unbounded objectives).  Slack variables are
-added per inequality row, artificial variables only where the slack basis is
-infeasible, and phase 1 minimizes total artificial mass.  Nonbasic variables
-sit at one of their bounds; a ratio-test step either pivots or flips a
-variable to its opposite bound.
+this; compactness also rules out unbounded objectives).  Every LP is solved
+by one algorithm from a basis, held as an `LpStart`: the working matrix
+`[A | slacks | b]`, the basis and at-upper flags, the slack bounds, and the
+tableau rows of the nonbasic columns plus the right-hand side (basic columns
+are unit vectors and are rebuilt; slacks pinned at zero never enter).
 
-Pricing is Dantzig (most negative reduced cost) with a Bland's-rule fallback
-after a run of degenerate steps, which guarantees termination.  The final
-basic values are recomputed from a fresh factorization of the basis matrix to
-shed accumulated drift.
+Slack-basis start.  Row i gets the slack s_i of `A x + s = b`, in [0, inf)
+for `<=`, (-inf, 0] for `>=` and [0, 0] for `=`.  A cold LP starts with the
+slacks basic and each structural column at its cost-favoured bound (upper
+where c_j < 0, else lower), which is dual feasible.  A branch-and-bound
+child starts from its parent's optimal basis instead; that start is never
+written to, so both children of a node can share it.
+
+Bounded dual.  The leaving row is the most infeasible one; the entering
+column has the smallest |d_k| / |alpha_k| among those that move the leaving
+variable toward its violated bound, the largest |alpha_k| among ties.  There
+is no bound flipping: an entering column that overshoots its other bound is
+infeasible in the next round.  A row with no entering column proves the LP
+infeasible only if its gap exceeds `INFEASIBLE_GAP`.
+
+Primal clean-up.  A primal simplex then removes any dual infeasibility left
+by drift: Dantzig pricing, a ratio-test step that pivots or flips a column to
+its other bound, and Bland's rule after a run of degenerate steps, which
+guarantees termination.
+
+Basis solve.  The basic values are recomputed from a fresh factorization of
+the basis matrix to shed drift, and the answer is audited against the
+original rows and bounds.  If a parent's basis gives no trustworthy answer,
+the LP is solved again from the slack basis; if that one is untrustworthy
+too, the status is neither OPTIMAL nor INFEASIBLE (ITERATION_LIMIT for a
+failed audit or an unproven infeasibility), and branch and bound counts the
+node as not numerically clean.
 
 The full tableau is kept column-major: `T` has shape (ncols + 1, m), so
 tableau column k (and the right-hand side, k = ncols) is the contiguous row
@@ -43,27 +64,6 @@ bound, -1 at its upper one and 0 for a basic or pinned column.  A column
 may then enter the primal simplex where `zrow * sgn < -ZTOL`, and the dual
 ratio test's eligibility is one comparison of `alpha * sgn`.  Products with
 +-1 are exact, so every choice is made on the same bits as with the flags.
-
-Warm starts.  An optimal result carries an `LpStart`: the working matrix
-`[A | slacks | artificials | b]`, the basis and the at-upper flags, the
-bounds of the slack and artificial columns, and the tableau rows `T[k]` of
-the nonbasic structural and slack columns plus the right-hand side.  Basic
-columns are unit vectors and are rebuilt; artificials pinned at zero can
-never enter again and are dropped.  `solve_lp(start=...)` re-solves the same
-rows under new structural bounds, as a branch-and-bound child does: it
-rebuilds the tableau, puts each nonbasic column at its (new) bound, and runs
-the dual simplex, since the parent's basis stays dual feasible.  The leaving
-row is the most infeasible one; the entering column has the smallest
-|d_k| / |alpha_k| among those that move the leaving variable toward its
-violated bound, the largest |alpha_k| among ties.  There is no bound
-flipping: an entering column that overshoots its other bound is simply
-infeasible in the next round.  A primal phase 2 then removes any dual
-infeasibility left by drift, and the final basis solve is the cold path's.
-The start is never written to, so both children of a node can share it.
-The warm path falls back to the cold solve when it hits the iteration
-limit, when its answer fails the residual audit, and when a row has no
-entering column while its infeasibility is within `PHASE1_TOL`, too small
-to prove the LP infeasible.
 """
 from __future__ import annotations
 
@@ -79,7 +79,7 @@ ITERATION_LIMIT = "iteration_limit"
 
 ZTOL = 1e-9  # reduced cost threshold for entering candidates
 RTOL = 1e-10  # ratio-test denominator threshold
-PHASE1_TOL = 1e-7  # residual artificial mass considered infeasible
+INFEASIBLE_GAP = 1e-7  # a row gap with no entering column larger than this proves infeasibility
 STALL_LIMIT = 40  # degenerate steps before switching to Bland's rule
 REFRESH_EVERY = 60  # iterations between full beta/zrow recomputations
 PTOL = 1e-9  # bound violation of a basic variable the dual simplex repairs
@@ -91,12 +91,13 @@ class LpNumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class LpStart:
-    """An optimal basis of one LP, to re-solve from under other bounds."""
+    """A dual feasible basis of one LP: its slack basis, or an optimal basis
+    to re-solve from under other bounds."""
 
-    W: np.ndarray  # working matrix [A | slacks | artificials | b], shared
+    W: np.ndarray  # working matrix [A | slacks | b], shared
     basis: np.ndarray
     at_upper: np.ndarray
-    lo_extra: np.ndarray  # bounds of the slack and artificial columns
+    lo_extra: np.ndarray  # bounds of the slack columns
     hi_extra: np.ndarray
     cols: np.ndarray  # the nonbasic structural and slack columns
     T_cols: np.ndarray  # their tableau rows, shape (cols.size, m)
@@ -124,8 +125,9 @@ def solve_lp(
     """Minimize c.x; relations is a sequence over {"<=", ">=", "="}.
 
     `start` is the `start` of an optimal result for the same c, A,
-    relations and b under other bounds; the solve then warm-starts
-    from that basis (see the module docstring).
+    relations and b under other bounds; the solve then starts from that
+    basis, and from the slack basis only if that gives no trustworthy
+    answer (see the module docstring).
     """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -149,28 +151,41 @@ def solve_lp(
     if np.any(lower > upper):
         return LpResult(INFEASIBLE, None, None, 0)
     rel = np.asarray(relations, dtype=str)
+    if m == 0:
+        x = np.where(c < 0, upper, lower)
+        return LpResult(OPTIMAL, x, float(c @ x), 0)
 
     result = None
     if start is not None:
         if start.W.shape != (m, n + start.lo_extra.size + 1):
             raise ValueError("start is from an LP of another shape")
-        result = _warm_simplex(c, lower, upper, start)
-        if result.status not in (OPTIMAL, INFEASIBLE) or (
-            result.status == OPTIMAL
-            and _max_violation(A, rel, b, lower, upper, result.x) > 1e-6
-        ):
-            result = None
-    if result is None:
-        result = _simplex(c, A, rel, b, lower, upper, False)
-        if result.status == OPTIMAL:
-            # cheap residual audit; rerun deterministically under Bland's rule
-            # if the tableau drifted
-            if _max_violation(A, rel, b, lower, upper, result.x) > 1e-6:
-                result = _simplex(c, A, rel, b, lower, upper, True)
-    if result.status == OPTIMAL:
-        value = float(c @ result.x)
-        return LpResult(OPTIMAL, result.x, value, result.iterations, result.start)
+        result = _audited(_warm_simplex(c, lower, upper, start), A, rel, b, lower, upper)
+    if result is None or result.status not in (OPTIMAL, INFEASIBLE):
+        slack = _slack_start(c, A, rel, b)
+        result = _audited(_warm_simplex(c, lower, upper, slack), A, rel, b, lower, upper)
     return result
+
+
+def _audited(result: LpResult, A, rel, b, lower, upper) -> LpResult:
+    """`result`, or no answer (ITERATION_LIMIT) if its optimum fails the residual audit."""
+    if result.status == OPTIMAL and _max_violation(A, rel, b, lower, upper, result.x) > 1e-6:
+        return LpResult(ITERATION_LIMIT, None, None, result.iterations)
+    return result
+
+
+def _slack_start(c, A, rel, b) -> LpStart:
+    """The slack basis, each structural column at its cost-favoured bound:
+    dual feasible, since every structural column is bounded."""
+    m, n = A.shape
+    W = np.zeros((m, n + m + 1))
+    W[:, :n] = A
+    W[:, n : n + m] = np.eye(m)
+    W[:, n + m] = b
+    geq = rel == ">="
+    lo_extra = np.where(geq, -np.inf, 0.0)
+    hi_extra = np.where(rel == "<=", np.inf, 0.0)
+    at_upper = np.concatenate([c < 0, geq])
+    return LpStart(W, n + np.arange(m), at_upper, lo_extra, hi_extra, np.arange(n), A.T.copy(), b.copy())
 
 
 def _max_violation(A, relations, b, lower, upper, x) -> float:
@@ -193,73 +208,6 @@ def _row_violations(resid: np.ndarray, relations) -> np.ndarray:
     return np.where(rel == "<=", resid, np.where(rel == ">=", -resid, np.abs(resid)))
 
 
-def _simplex(c, A, rel, b, lower, upper, bland_start) -> LpResult:
-    """The cold two-phase solve; `rel` is the relations as a str array."""
-    m, n = A.shape
-    if m == 0:
-        x = np.where(c > 0, lower, np.where(c < 0, upper, lower))
-        return LpResult(OPTIMAL, x, float(c @ x), 0)
-
-    # --- build working matrix [A | slacks | artificials | b] --------------
-    resid = b - A @ lower
-    slack_rows = np.flatnonzero(rel != "=")
-    # an artificial wherever the slack basis is infeasible
-    art_rows = np.flatnonzero(np.where(rel == "<=", resid < 0, np.where(rel == ">=", resid > 0, True)))
-    n_slack = slack_rows.size
-    slack_cols = n + np.arange(n_slack)
-    art_cols = n + n_slack + np.arange(art_rows.size)
-    ncols = n + n_slack + art_rows.size
-    geq = rel[slack_rows] == ">="
-
-    W = np.zeros((m, ncols + 1))
-    W[:, :n] = A
-    W[:, ncols] = b
-    W[slack_rows, slack_cols] = 1.0
-    W[art_rows, art_cols] = np.where(resid[art_rows] >= 0, 1.0, -1.0)
-    lo = np.concatenate([lower, np.where(geq, -np.inf, 0.0), np.zeros(art_rows.size)])
-    hi = np.concatenate([upper, np.where(geq, 0.0, np.inf), np.full(art_rows.size, np.inf)])
-
-    T = W.T.copy()  # a copy even where W.T is already contiguous (m == 1)
-    T[:, art_rows[resid[art_rows] < 0]] *= -1.0
-    basis = np.empty(m, dtype=np.intp)
-    basis[slack_rows] = slack_cols
-    basis[art_rows] = art_cols
-    beta = resid.copy()
-    beta[art_rows] = np.abs(resid[art_rows])
-    at_upper = np.zeros(ncols, dtype=bool)
-    at_upper[slack_cols[geq]] = True  # nonbasic >= slack sits at its upper bound 0
-
-    max_iter = 500 + 40 * (m + n)
-    state = _State(T, basis, beta, at_upper, lo, hi)
-
-    # --- phase 1 -----------------------------------------------------------
-    total_iters = 0
-    if art_cols.size:
-        c1 = np.zeros(ncols)
-        c1[art_cols] = 1.0
-        status, iters = _run_phase(state, c1, max_iter, bland_start)
-        total_iters += iters
-        if status == ITERATION_LIMIT:
-            return LpResult(ITERATION_LIMIT, None, None, total_iters)
-        art_basic = np.isin(state.basis, art_cols)
-        infeas = float(np.abs(state.beta[art_basic]).sum()) if art_basic.any() else 0.0
-        if infeas > PHASE1_TOL:
-            return LpResult(INFEASIBLE, None, None, total_iters)
-        _evict_artificials(state, art_cols)
-        state.lo[art_cols] = 0.0
-        state.hi[art_cols] = 0.0
-        state.movable[art_cols] = False
-
-    # --- phase 2 -----------------------------------------------------------
-    c2 = np.zeros(ncols)
-    c2[:n] = c
-    status, iters = _run_phase(state, c2, max_iter, bland_start)
-    total_iters += iters
-    if status != OPTIMAL:
-        return LpResult(status, None, None, total_iters)
-    return _finish(state, W, c, n, total_iters)
-
-
 def _finish(state: _State, W: np.ndarray, c: np.ndarray, n: int, iters: int) -> LpResult:
     """The optimal result of `state`, and its start."""
     ncols, lo, hi = state.ncols, state.lo, state.hi
@@ -274,7 +222,7 @@ def _finish(state: _State, W: np.ndarray, c: np.ndarray, n: int, iters: int) -> 
     except np.linalg.LinAlgError:
         pass
     x = values[:n]
-    # pinned artificials never enter again; basic columns are unit vectors
+    # pinned slacks never enter again; basic columns are unit vectors
     cols = np.flatnonzero(~state.basic_mask & (state.movable | (np.arange(ncols) < n)))
     start = LpStart(
         W, state.basis.copy(), state.at_upper.copy(), lo[n:].copy(), hi[n:].copy(),
@@ -284,7 +232,7 @@ def _finish(state: _State, W: np.ndarray, c: np.ndarray, n: int, iters: int) -> 
 
 
 def _warm_simplex(c, lower, upper, start: LpStart) -> LpResult:
-    """Re-optimize from `start` under new structural bounds; never writes to it.
+    """Optimize from the basis of `start` under the bounds given; never writes to it.
 
     A status other than OPTIMAL or INFEASIBLE means no trustworthy answer.
     """
@@ -305,7 +253,7 @@ def _warm_simplex(c, lower, upper, start: LpStart) -> LpResult:
     status, iters = _dual_phase(state, cvec, max_iter)
     if status != OPTIMAL:
         return LpResult(status, None, None, iters)
-    status, more = _run_phase(state, cvec, max_iter, False)
+    status, more = _run_phase(state, cvec, max_iter)
     if status != OPTIMAL:
         return LpResult(status, None, None, iters + more)
     return _finish(state, W, c, n, iters + more)
@@ -418,10 +366,11 @@ def _clamp(t: float) -> float:
     return 0.0 if t <= 0.0 else t
 
 
-def _run_phase(state: _State, cvec: np.ndarray, max_iter: int, bland_start: bool):
+def _run_phase(state: _State, cvec: np.ndarray, max_iter: int):
+    """Primal simplex from a primal feasible basis until no reduced cost has the wrong sign."""
     T = state.T
     m, lo, hi = state.m, state.lo, state.hi
-    _begin_phase(state)  # phase 2 pins the artificials
+    _begin_phase(state)
     at_upper, sgn, blo, bhi, beta = state.at_upper, state.sgn, state.blo, state.bhi, state.beta
     zrow = _refresh(state, cvec)
     score = np.empty(state.ncols)
@@ -431,7 +380,7 @@ def _run_phase(state: _State, cvec: np.ndarray, max_iter: int, bland_start: bool
     iters = 0
     while iters < max_iter:
         iters += 1
-        bland = bland_start or stall > STALL_LIMIT
+        bland = stall > STALL_LIMIT
         # eligible: zrow < -ZTOL at the lower bound, zrow > ZTOL at the upper
         np.multiply(zrow, sgn, out=score)
         j = _entering(score, bland)
@@ -516,7 +465,7 @@ def _dual_phase(state: _State, cvec: np.ndarray, max_iter: int):
         idxs = (score < -RTOL if rise else score > RTOL).nonzero()[0]
         if idxs.size == 0:
             # no column can repair row p: infeasible, unless the gap is noise
-            return (INFEASIBLE if gap > PHASE1_TOL else ITERATION_LIMIT), iters
+            return (INFEASIBLE if gap > INFEASIBLE_GAP else ITERATION_LIMIT), iters
         size = np.abs(alpha[idxs])
         ratios = np.abs(zrow[idxs])
         ratios /= size
@@ -537,21 +486,3 @@ def _dual_phase(state: _State, cvec: np.ndarray, max_iter: int):
             zrow = _refresh(state, cvec)
     return ITERATION_LIMIT, iters
 
-
-def _evict_artificials(state: _State, art_cols: np.ndarray) -> None:
-    """Pivot zero-valued basic artificials out where a real column allows it.
-
-    The pivots leave beta stale; phase 2 recomputes it before reading it.
-    """
-    art_set = set(int(a) for a in art_cols)
-    for p in range(state.m):
-        if int(state.basis[p]) not in art_set:
-            continue
-        row = state.T[: state.ncols, p]
-        candidates = np.flatnonzero(
-            (np.abs(row) > 1e-7) & ~state.basic_mask & state.movable
-        )
-        candidates = [int(j) for j in candidates if int(j) not in art_set]
-        if not candidates:
-            continue  # redundant row; artificial stays basic pinned at zero
-        _pivot(state, p, candidates[0])

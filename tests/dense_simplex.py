@@ -1,11 +1,12 @@
-"""Frozen dense-tableau simplex: the reference for `cnma.simplex`.
+"""Frozen dense-tableau two-phase primal simplex: an oracle for `cnma.simplex`.
 
 This is the row-major kernel that `cnma.simplex` used before its tableau was
-stored column-major with sparse pivot updates.  The arithmetic of the two is
-meant to be the same operation for operation, so `test_simplex.py` requires
-both to return the same status, iteration count, solution bytes and
-objective.  Do not edit this file to follow later changes to the solver: it
-is the fixed point those changes are compared against.
+stored column-major with sparse pivot updates, and before every LP became a
+dual simplex from a basis.  It is now an independent algorithm, so
+`test_simplex.py` requires the two to agree on the status and on the
+objective to 1e-9 relative, not on pivots or bits.  Do not edit this file to
+follow later changes to the solver: it is the fixed point those changes are
+compared against.
 """
 from __future__ import annotations
 

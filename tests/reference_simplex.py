@@ -7,9 +7,10 @@ This is the solver as it stood with the warm-started dual simplex, one
 variables' bounds and a sign vector up to date instead, but it is meant to
 make the same choices on the same bits, so `test_simplex.py` requires both to
 return the same status, iteration count, objective, solution bytes and start
-arrays on cold and warm LPs alike.  Do not edit this file to follow later
-changes to the solver: it is the fixed point those changes are compared
-against.
+arrays on warm LPs, and on cold LPs, which `cnma.simplex` solves from the
+slack basis, against this solver's warm path from that basis.  Do not edit
+this file to follow later changes to the solver: it is the fixed point those
+changes are compared against.
 """
 from __future__ import annotations
 

@@ -450,6 +450,8 @@ class TestConfig:
         ("milp_node_budget", 0), ("pattern_probes", -1), ("n_initial", -1),
         ("step_size", 0.0), ("step_size", -1e-3), ("step_size", float("nan")),
         ("step_size", float("inf")), ("step_size", "0.001"), ("net_hidden", [8, 0]),
+        ("net_hidden", 30), ("net_hidden", [30.5]), ("net_hidden", "30"),
+        ("net_hidden", [True]),
     ])
     def test_out_of_range_option_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"'{name}'"):

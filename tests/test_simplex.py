@@ -1,6 +1,6 @@
 """LP core tests against the exact rational reference in rational_lp.py, the
-frozen dense kernel in dense_simplex.py and the frozen solver in
-reference_simplex.py, and warm starts against cold solves."""
+frozen solver in reference_simplex.py, the independent two-phase kernel in
+dense_simplex.py, and warm starts against cold solves."""
 import dataclasses
 
 import numpy as np
@@ -171,7 +171,8 @@ def test_maximize_mirrors_negated_minimize():
 
 
 # ---------------------------------------------------------------------------
-# Bit-for-bit agreement with the frozen dense kernel in dense_simplex.py
+# Cold solves: bit for bit the frozen solver's warm path from the slack basis,
+# and the status and objective of the two-phase dense kernel
 
 
 def assert_same_result(got, want):
@@ -181,6 +182,61 @@ def assert_same_result(got, want):
     assert (got.x is None) == (want.x is None)
     if want.x is not None:
         assert got.x.tobytes() == want.x.tobytes()
+
+
+def assert_same_as_reference(got, want):
+    """Equal results, down to the bytes of every array of the start."""
+    assert_same_result(got, want)
+    assert (got.start is None) == (want.start is None)
+    if want.start is not None:
+        for field in dataclasses.fields(want.start):
+            mine, theirs = getattr(got.start, field.name), getattr(want.start, field.name)
+            assert mine.dtype == theirs.dtype and mine.shape == theirs.shape, field.name
+            assert mine.tobytes() == theirs.tobytes(), field.name
+
+
+def assert_same_optimum(got, want):
+    """The same status, and the same objective to 1e-9 relative."""
+    assert got.status == want.status
+    if want.status == simplex.OPTIMAL:
+        assert abs(got.objective - want.objective) <= 1e-9 * max(1.0, abs(want.objective))
+
+
+def slack_start(c, A, relations, b):
+    """The basis a cold solve starts from, as a start for the frozen solver:
+    [A | I | b], one slack per row, each structural column at its
+    cost-favoured bound."""
+    c, A, b = (np.asarray(v, dtype=float) for v in (c, A, b))
+    rel = np.asarray(relations, dtype=str)
+    m, n = A.shape
+    return reference_simplex.LpStart(
+        W=np.hstack([A, np.eye(m), b[:, None]]),
+        basis=n + np.arange(m),
+        at_upper=np.concatenate([c < 0, rel == ">="]),
+        lo_extra=np.where(rel == ">=", -np.inf, 0.0),
+        hi_extra=np.where(rel == "<=", np.inf, 0.0),
+        cols=np.arange(n),
+        T_cols=A.T.copy(),
+        rhs=b.copy(),
+    )
+
+
+def cold_reference(c, A, relations, b, lower, upper, maximize=False):
+    """The frozen solver from the slack basis of the minimized cost."""
+    if not len(relations):
+        return reference_simplex.solve_lp(c, A, relations, b, lower, upper, maximize=maximize)
+    start = slack_start(-np.asarray(c) if maximize else c, A, relations, b)
+    return reference_simplex.solve_lp(c, A, relations, b, lower, upper, maximize=maximize, start=start)
+
+
+def assert_cold_result(got, args, maximize=False):
+    """`got`, a cold solve of the LP `args`, against both frozen solvers; an
+    optimal start has one slack per row and no other extra column."""
+    assert_same_as_reference(got, cold_reference(*args, maximize=maximize))
+    assert_same_optimum(got, dense_simplex.solve_lp(*args, maximize=maximize))
+    if got.start is not None:
+        m, n = np.shape(args[1])
+        assert got.start.W.shape == (m, n + m + 1)
 
 
 def degenerate_instance(rng):
@@ -195,7 +251,7 @@ def degenerate_instance(rng):
     return c, A, relations, A @ vertex, lower, upper
 
 
-def test_bit_identical_to_dense_kernel_on_random_lps():
+def test_bit_identical_to_reference_slack_start_on_random_lps():
     rng = np.random.default_rng(2024)
     statuses = set()
     for k in range(300):
@@ -207,8 +263,7 @@ def test_bit_identical_to_dense_kernel_on_random_lps():
             )
         maximize = bool(rng.integers(0, 2))
         got = solve_either_sense(c, A, rel, b, lo, hi, maximize=maximize)
-        want = dense_simplex.solve_lp(c, A, rel, b, lo, hi, maximize=maximize)
-        assert_same_result(got, want)
+        assert_cold_result(got, (c, A, rel, b, lo, hi), maximize=maximize)
         statuses.add(got.status)
     assert statuses == {simplex.OPTIMAL, simplex.INFEASIBLE}
 
@@ -268,29 +323,23 @@ def warm_calls(calls):
     return [(args, kwargs) for args, kwargs in calls if kwargs.get("start") is not None]
 
 
-def assert_agrees_with_cold(warm, cold):
-    assert warm.status == cold.status
-    if cold.status == simplex.OPTIMAL:
-        assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
-
-
 def assert_recorded_lps_identical(calls):
-    """Cold calls bit for bit against the dense kernel, which has no warm
-    start; warm calls against the cold solve of the same LP."""
+    """Cold calls against the frozen solvers; warm calls against the cold
+    solve of the same LP."""
     assert calls
     for args, kwargs in calls:
         got = simplex.solve_lp(*args, **kwargs)
         if kwargs.get("start") is None:
-            assert_same_result(got, dense_simplex.solve_lp(*args))
+            assert_cold_result(got, args)
         else:
-            assert_agrees_with_cold(got, simplex.solve_lp(*args))
+            assert_same_optimum(got, simplex.solve_lp(*args))
 
 
-def test_bit_identical_to_dense_kernel_on_encoded_surrogates(surrogate_calls):
+def test_bit_identical_to_reference_slack_start_on_encoded_surrogates(surrogate_calls):
     assert_recorded_lps_identical(surrogate_calls["random"])
 
 
-def test_bit_identical_to_dense_kernel_on_polak3_sized_surrogate(surrogate_calls):
+def test_bit_identical_to_reference_slack_start_on_polak3_sized_surrogate(surrogate_calls):
     assert_recorded_lps_identical(surrogate_calls["polak3"])
 
 
@@ -299,24 +348,16 @@ def test_bit_identical_to_dense_kernel_on_polak3_sized_surrogate(surrogate_calls
 # has the warm path too
 
 
-def assert_same_as_reference(got, want):
-    """Equal results, down to the bytes of every array of the start."""
-    assert_same_result(got, want)
-    assert (got.start is None) == (want.start is None)
-    if want.start is not None:
-        for field in dataclasses.fields(want.start):
-            mine, theirs = getattr(got.start, field.name), getattr(want.start, field.name)
-            assert mine.dtype == theirs.dtype and mine.shape == theirs.shape, field.name
-            assert mine.tobytes() == theirs.tobytes(), field.name
-
-
 @pytest.mark.parametrize("fixture", ["random", "polak3"])
 def test_bit_identical_to_reference_solver_cold_and_warm(surrogate_calls, fixture):
     warm = 0
     for args, kwargs in surrogate_calls[fixture]:
         got = simplex.solve_lp(*args, **kwargs)
-        assert_same_as_reference(got, reference_simplex.solve_lp(*args, **kwargs))
-        warm += kwargs.get("start") is not None
+        if kwargs.get("start") is None:
+            assert_same_as_reference(got, cold_reference(*args))
+        else:
+            assert_same_as_reference(got, reference_simplex.solve_lp(*args, **kwargs))
+            warm += 1
     assert 0 < warm < len(surrogate_calls[fixture])
 
 
@@ -398,7 +439,7 @@ def test_start_is_unchanged_by_its_children():
     before = {f.name: getattr(start, f.name).tobytes() for f in dataclasses.fields(start)}
     for lower, upper in children:
         child = simplex.solve_lp(*lp, lower, upper, start=start)
-        assert_agrees_with_cold(child, simplex.solve_lp(*lp, lower, upper))
+        assert_same_optimum(child, simplex.solve_lp(*lp, lower, upper))
         if child.start is not None:
             assert child.start.W is start.W  # every node of one B&B shares it
     after = {f.name: getattr(start, f.name).tobytes() for f in dataclasses.fields(start)}
@@ -408,14 +449,51 @@ def test_start_is_unchanged_by_its_children():
 def test_failed_warm_solve_returns_the_cold_result_bit_for_bit(monkeypatch):
     lp, root, children = root_and_children()
     failed = []
+    real = simplex._warm_simplex
 
-    def give_up(*args):
-        failed.append(args)
+    def give_up(c, lower, upper, start):
+        if start is not root.start:
+            return real(c, lower, upper, start)
+        failed.append(start)
         return simplex.LpResult(simplex.ITERATION_LIMIT, None, None, 7)
 
     monkeypatch.setattr(simplex, "_warm_simplex", give_up)
     for lower, upper in children:
         got = simplex.solve_lp(*lp, lower, upper, start=root.start)
-        assert_same_result(got, simplex.solve_lp(*lp, lower, upper))
-        assert_same_result(got, dense_simplex.solve_lp(*lp, lower, upper))
+        assert_same_as_reference(got, simplex.solve_lp(*lp, lower, upper))
+        assert_same_as_reference(got, cold_reference(*lp, lower, upper))
     assert len(failed) == 2
+
+
+@pytest.mark.parametrize("failure", ["iteration_limit", "failed_audit"])
+def test_untrustworthy_slack_basis_answer_is_no_answer(monkeypatch, failure):
+    """A cold LP is solved once, from the slack basis, and by no second
+    algorithm; an untrustworthy answer is neither optimal nor infeasible,
+    and branch and bound then reports the model as not solved."""
+    _, _, model = polak3_sized_model()
+    lp = (model.c, model.A, model.relations, model.b, model.lower, model.upper)
+    real = {name: getattr(simplex, name) for name in ("_warm_simplex", "_dual_phase", "_run_phase")}
+    calls = []
+
+    def spy(name):
+        def call(*args):
+            calls.append(name)
+            if name != "_warm_simplex":
+                return real[name](*args)
+            c, lower, upper, start = args
+            assert start.W.shape == (model.A.shape[0], model.A.shape[1] + model.A.shape[0] + 1)
+            if failure == "iteration_limit":
+                return simplex.LpResult(simplex.ITERATION_LIMIT, None, None, 5)
+            res = real[name](*args)
+            assert res.status == simplex.OPTIMAL
+            return dataclasses.replace(res, x=upper + 1.0)
+        return call
+
+    for name in real:
+        monkeypatch.setattr(simplex, name, spy(name))
+    got = simplex.solve_lp(*lp)
+    assert got.status not in (simplex.OPTIMAL, simplex.INFEASIBLE)
+    assert got.x is None and got.start is None
+    pivot_loops = [] if failure == "iteration_limit" else ["_dual_phase", "_run_phase"]
+    assert calls == ["_warm_simplex"] + pivot_loops
+    assert milp.solve(model, node_budget=16).status == milp.BUDGET_EXCEEDED
