@@ -69,12 +69,14 @@ class CnmaConfig:
         for name, least in (("batch_size", 1), ("epochs", 1), ("milp_node_budget", 1),
                             ("pattern_probes", 0), ("n_initial", 0)):
             value = getattr(self, name)
-            if not isinstance(value, Integral) or value < least:
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
                 raise ValueError(
                     f"solver option '{name}' must be an integer >= {least}, got {value!r}"
                 )
         step = self.step_size
-        if not (isinstance(step, Real) and math.isfinite(step) and step > 0):
+        if isinstance(step, bool) or not (
+            isinstance(step, Real) and math.isfinite(step) and step > 0
+        ):
             raise ValueError(
                 f"solver option 'step_size' must be finite and positive, got {step!r}"
             )

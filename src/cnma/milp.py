@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from heapq import heappush, heappop
 from typing import Sequence
 
@@ -62,10 +62,8 @@ class MilpModel:
     """min or max  c @ x + obj_const  subject to  A x (relations) b,
     lower <= x <= upper, and x integral on `int_cols`.
 
-    `indicators` has one entry per hidden neuron of an encoded network, in
-    layer order: the column of its 0/1 indicator, or -1 where the encoder
-    proved the neuron stable.  Build models with `milp_model`,
-    `encode_network` and `conjoin`, which validate them.
+    Build models with `milp_model`, `encode_network` and `conjoin`, which
+    validate them.
     """
 
     names: list[str]
@@ -78,7 +76,6 @@ class MilpModel:
     c: np.ndarray
     obj_const: float = 0.0
     sense: str = "minimize"
-    indicators: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
 
 
 @dataclass
@@ -405,8 +402,7 @@ def encode_network(
     lower: list[float] = []
     upper: list[float] = []
     rows: list[tuple] = []  # (columns, coefficients, relation, rhs)
-    indicators: list[int] = []
-    integer_inputs: list[int] = []
+    integer_cols: list[int] = []  # the integer inputs, then the 0/1 indicators
 
     def column(name: str, lo: float, hi: float) -> int:
         names.append(name)
@@ -420,7 +416,7 @@ def encode_network(
     for i, v in enumerate(input_vars):
         x = column(v.name, box_lo[i], box_hi[i])
         if v.kind == "integer":
-            integer_inputs.append(x)
+            integer_cols.append(x)
         xn = column(f"_xn{i}", xn_lo[i], xn_hi[i])
         # x = scale * xn + shift
         rows.append(([x, xn], [1.0, 0.0 - net.input_scale[i]], "=", net.input_shift[i]))
@@ -442,10 +438,8 @@ def encode_network(
             cols, coefs = [h, *prev], [1.0, *neg_w[j]]
             if off[j]:
                 rows.append(([h], [1.0], "=", 0.0))
-                indicators.append(-1)
             elif on[j]:
                 rows.append((cols, coefs, "=", bias[j]))
-                indicators.append(-1)
             else:
                 d = column(f"_d{layer}_{j}", 0.0, 1.0)
                 rows += [
@@ -454,7 +448,7 @@ def encode_network(
                     (cols + [d], coefs + [-lo], "<=", bias[j] - lo),
                     ([h, d], [1.0, -hi], "<=", 0.0),
                 ]
-                indicators.append(d)
+                integer_cols.append(d)
             current.append(h)
         prev = current
 
@@ -478,19 +472,15 @@ def encode_network(
     for i, (cols, coefs, _, rhs) in enumerate(rows):
         A[i, cols] = coefs
         b[i] = rhs
-    indicator_cols = np.array(indicators, dtype=np.intp)
     return MilpModel(
         names=names,
         lower=np.array(lower, dtype=float),
         upper=np.array(upper, dtype=float),
-        int_cols=np.concatenate(
-            [np.array(integer_inputs, dtype=np.intp), indicator_cols[indicator_cols >= 0]]
-        ),
+        int_cols=np.array(integer_cols, dtype=np.intp),
         A=A,
         relations=[row[2] for row in rows],
         b=b,
         c=np.zeros(len(names)),
-        indicators=indicator_cols,
     )
 
 

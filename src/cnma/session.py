@@ -70,8 +70,9 @@ class Session:
         require_valid(problem)
         if eval_budget < 1:
             raise ValueError(f"eval_budget must be at least 1, got {eval_budget!r}")
-        if objective_target is not None and not (
-            isinstance(objective_target, Real) and math.isfinite(objective_target)
+        if objective_target is not None and (
+            isinstance(objective_target, bool)
+            or not (isinstance(objective_target, Real) and math.isfinite(objective_target))
         ):
             raise ValueError(
                 f"objective_target must be a finite number, got {objective_target!r}"

@@ -6,10 +6,10 @@ Handles problems of the form
 
 with finite bounds on every structural variable (the MILP layer guarantees
 this; compactness also rules out unbounded objectives).  Every LP is solved
-by one algorithm from a basis, held as an `LpStart`: the working matrix
-`[A | slacks | b]`, the basis and at-upper flags, the slack bounds, and the
-tableau rows of the nonbasic columns plus the right-hand side (basic columns
-are unit vectors and are rebuilt; slacks pinned at zero never enter).
+by one algorithm from a basis, held as an `LpStart`: the basis and at-upper
+flags, the slack bounds, and the tableau rows of the nonbasic columns plus
+the right-hand side (basic columns are unit vectors and are rebuilt; slacks
+pinned at zero never enter).
 
 Slack-basis start.  Row i gets the slack s_i of `A x + s = b`, in [0, inf)
 for `<=`, (-inf, 0] for `>=` and [0, 0] for `=`.  A cold LP starts with the
@@ -30,13 +30,13 @@ by drift: Dantzig pricing, a ratio-test step that pivots or flips a column to
 its other bound, and Bland's rule after a run of degenerate steps, which
 guarantees termination.
 
-Basis solve.  The basic values are recomputed from a fresh factorization of
-the basis matrix to shed drift, and the answer is audited against the
-original rows and bounds.  If a parent's basis gives no trustworthy answer,
-the LP is solved again from the slack basis; if that one is untrustworthy
-too, the status is neither OPTIMAL nor INFEASIBLE (ITERATION_LIMIT for a
-failed audit or an unproven infeasibility), and branch and bound counts the
-node as not numerically clean.
+Answer.  The basic values are the tableau's, as the clean-up leaves them,
+and each nonbasic column sits at its bound; the answer is audited against
+the original rows and bounds.  If a parent's basis gives no trustworthy
+answer, the LP is solved again from the slack basis; if that one is
+untrustworthy too, the status is neither OPTIMAL nor INFEASIBLE
+(ITERATION_LIMIT for a failed audit or an unproven infeasibility), and
+branch and bound counts the node as not numerically clean.
 
 The full tableau is kept column-major: `T` has shape (ncols + 1, m), so
 tableau column k (and the right-hand side, k = ncols) is the contiguous row
@@ -44,12 +44,11 @@ tableau column k (and the right-hand side, k = ncols) is the contiguous row
 updates only the columns whose entry in row p is nonzero; in the big-M
 models of the MILP layer that is a small share of them.  The skipped columns
 would have had an exact +-0 subtracted, which can change at most the sign of
-a zero entry.  No comparison sees that sign, and the returned x is solved
-afresh from the original columns rather than read from `T`, so the pivots
-and the results are bit for bit those of a full row-major update.  The
-matrix products of a refresh run on a row-major copy of `T`, so BLAS sees
-the same layout, and returns the same bits, as it would for a row-major
-tableau.
+a zero entry.  No comparison sees that sign, so the pivots are those of a
+full row-major update, and a basic value of x can differ from one only in
+the sign of a zero.  The matrix products of a refresh run on a row-major
+copy of `T`, so BLAS sees the same layout, and returns the same bits, as it
+would for a row-major tableau.
 
 Each pivot is a few whole-array numpy calls.  The update gathers the changed
 columns with `take`, subtracts `np.multiply.outer(T[cols, p], colv)` and
@@ -91,10 +90,10 @@ class LpNumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class LpStart:
-    """A dual feasible basis of one LP: its slack basis, or an optimal basis
-    to re-solve from under other bounds."""
+    """A dual feasible basis of one LP, as tableau rows: its slack basis, or
+    an optimal basis to re-solve from under other bounds.  It holds no copy
+    of the LP's A and b; `solve_lp` checks only its shape against them."""
 
-    W: np.ndarray  # working matrix [A | slacks | b], shared
     basis: np.ndarray
     at_upper: np.ndarray
     lo_extra: np.ndarray  # bounds of the slack columns
@@ -157,7 +156,7 @@ def solve_lp(
 
     result = None
     if start is not None:
-        if start.W.shape != (m, n + start.lo_extra.size + 1):
+        if start.rhs.shape != (m,) or start.at_upper.shape != (n + start.lo_extra.size,):
             raise ValueError("start is from an LP of another shape")
         result = _audited(_warm_simplex(c, lower, upper, start), A, rel, b, lower, upper)
     if result is None or result.status not in (OPTIMAL, INFEASIBLE):
@@ -177,15 +176,11 @@ def _slack_start(c, A, rel, b) -> LpStart:
     """The slack basis, each structural column at its cost-favoured bound:
     dual feasible, since every structural column is bounded."""
     m, n = A.shape
-    W = np.zeros((m, n + m + 1))
-    W[:, :n] = A
-    W[:, n : n + m] = np.eye(m)
-    W[:, n + m] = b
     geq = rel == ">="
     lo_extra = np.where(geq, -np.inf, 0.0)
     hi_extra = np.where(rel == "<=", np.inf, 0.0)
     at_upper = np.concatenate([c < 0, geq])
-    return LpStart(W, n + np.arange(m), at_upper, lo_extra, hi_extra, np.arange(n), A.T.copy(), b.copy())
+    return LpStart(n + np.arange(m), at_upper, lo_extra, hi_extra, np.arange(n), A.T.copy(), b.copy())
 
 
 def _max_violation(A, relations, b, lower, upper, x) -> float:
@@ -208,24 +203,17 @@ def _row_violations(resid: np.ndarray, relations) -> np.ndarray:
     return np.where(rel == "<=", resid, np.where(rel == ">=", -resid, np.abs(resid)))
 
 
-def _finish(state: _State, W: np.ndarray, c: np.ndarray, n: int, iters: int) -> LpResult:
-    """The optimal result of `state`, and its start."""
+def _finish(state: _State, c: np.ndarray, n: int, iters: int) -> LpResult:
+    """The optimal result of `state`, and its start: x is the tableau's, each
+    nonbasic column at its bound and each basic one at its `beta`."""
     ncols, lo, hi = state.ncols, state.lo, state.hi
-    nb_vals = _nonbasic_values(state)
-    values = nb_vals.copy()
+    values = _nonbasic_values(state)
     values[state.basis] = state.beta
-    # refresh basic values from a fresh solve against the original columns
-    try:
-        B = W[:, state.basis]
-        exact = np.linalg.solve(B, W[:, ncols] - W[:, :ncols] @ nb_vals)
-        values[state.basis] = exact
-    except np.linalg.LinAlgError:
-        pass
     x = values[:n]
     # pinned slacks never enter again; basic columns are unit vectors
     cols = np.flatnonzero(~state.basic_mask & (state.movable | (np.arange(ncols) < n)))
     start = LpStart(
-        W, state.basis.copy(), state.at_upper.copy(), lo[n:].copy(), hi[n:].copy(),
+        state.basis.copy(), state.at_upper.copy(), lo[n:].copy(), hi[n:].copy(),
         cols, state.T[cols], state.T[ncols].copy(),
     )
     return LpResult(OPTIMAL, x, float(c @ x), iters, start)
@@ -236,9 +224,8 @@ def _warm_simplex(c, lower, upper, start: LpStart) -> LpResult:
 
     A status other than OPTIMAL or INFEASIBLE means no trustworthy answer.
     """
-    W = start.W
-    m, n = W.shape[0], lower.size
-    ncols = W.shape[1] - 1
+    m, n = start.rhs.size, lower.size
+    ncols = n + start.lo_extra.size
     T = np.zeros((ncols + 1, m))
     T[start.cols] = start.T_cols
     T[ncols] = start.rhs
@@ -256,7 +243,7 @@ def _warm_simplex(c, lower, upper, start: LpStart) -> LpResult:
     status, more = _run_phase(state, cvec, max_iter)
     if status != OPTIMAL:
         return LpResult(status, None, None, iters + more)
-    return _finish(state, W, c, n, iters + more)
+    return _finish(state, c, n, iters + more)
 
 
 class _State:

@@ -276,7 +276,8 @@ class TestRunUsageErrors:
         {"batch_size": 0}, {"epochs": -5}, {"net_hidden": [0]},
         {"milp_node_budget": 0}, {"objective_target": float("nan")},
         {"net_hidden": 30}, {"net_hidden": [30.5]}, {"net_hidden": "30"},
-        {"net_hidden": [True]}])
+        {"net_hidden": [True]}, {"epochs": True}, {"step_size": True},
+        {"pattern_probes": False}, {"objective_target": True}])
     def test_bad_config_value_exits_before_any_call(self, tmp_path, capsys,
                                                     monkeypatch, option):
         def no_calls(*args, **kwargs):

@@ -451,7 +451,9 @@ class TestConfig:
         ("step_size", 0.0), ("step_size", -1e-3), ("step_size", float("nan")),
         ("step_size", float("inf")), ("step_size", "0.001"), ("net_hidden", [8, 0]),
         ("net_hidden", 30), ("net_hidden", [30.5]), ("net_hidden", "30"),
-        ("net_hidden", [True]),
+        ("net_hidden", [True]), ("batch_size", True), ("epochs", True),
+        ("pattern_probes", False), ("n_initial", True), ("milp_node_budget", True),
+        ("step_size", True),
     ])
     def test_out_of_range_option_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"'{name}'"):

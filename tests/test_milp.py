@@ -80,11 +80,20 @@ class TestPropagateBounds:
             propagate_bounds(relu_net(), ([1.0], [0.0]))
 
 
+def indicator_columns(model):
+    """Each hidden neuron's `_d{layer}_{j}` indicator column, in layer order,
+    or -1 where the encoder proved the neuron stable and wrote none."""
+    index = {name: k for k, name in enumerate(model.names)}
+    neurons = [name[len("_h"):] for name in model.names if name.startswith("_h")]
+    return np.array([index.get(f"_d{neuron}", -1) for neuron in neurons], dtype=np.intp)
+
+
 def pin_indicators(model, pattern):
     """`model` with each unstable neuron's indicator fixed to its value in
     `pattern`, one value per hidden neuron as `activation_pattern` gives."""
-    unstable = model.indicators >= 0
-    cols = model.indicators[unstable]
+    indicators = indicator_columns(model)
+    unstable = indicators >= 0
+    cols = indicators[unstable]
     lower, upper = model.lower.copy(), model.upper.copy()
     lower[cols] = upper[cols] = np.asarray(pattern, dtype=float)[unstable]
     return dataclasses.replace(model, lower=lower, upper=upper)
@@ -129,7 +138,7 @@ class TestEncodeRelu:
 
     def test_always_active_collapses_to_equality(self):
         model = relu_model(1.0, 2.0)
-        assert model.indicators.tolist() == [-1]
+        assert indicator_columns(model).tolist() == [-1]
         assert model.int_cols.size == 0
         assert model.relations == ["="] * 4
         assert dict(zip(model.names, model.A[1])) == {
@@ -141,7 +150,7 @@ class TestEncodeRelu:
 
     def test_always_inactive_pins_post_to_zero(self):
         model = relu_model(-2.0, -1.0)
-        assert model.indicators.tolist() == [-1]
+        assert indicator_columns(model).tolist() == [-1]
         assert model.int_cols.size == 0
         assert model.relations == ["="] * 4
         assert dict(zip(model.names, model.A[1])) == {
@@ -230,7 +239,7 @@ class TestEncodeNetwork:
             net, [VariableSpec("x", -5.0, 5.0)], [VariableSpec("y", -100.0, 100.0)]
         )
         assert [model.names[j] for j in model.int_cols] == ["_d0_0"]
-        assert model.indicators.tolist() == [model.names.index("_d0_0"), -1]
+        assert indicator_columns(model).tolist() == [model.names.index("_d0_0"), -1]
 
     def test_integer_inputs_are_integer_columns(self):
         # y = relu(x) on x in [-5, 5], maximized below y <= 2.5: x = 2.5
@@ -473,13 +482,13 @@ class TestPatternProbes:
         (region,) = region_models(surrogate_problem(inputs, outputs), net, [np.zeros(3)])
         assert region.names == ["x0", "x1", "x2"]
         assert region.int_cols.tolist() == [1]
-        assert region.indicators.size == 0
+        assert indicator_columns(region).size == 0
 
     def test_inputs_sharing_a_region_get_one_model(self):
         """One model per pattern of the unstable neurons, in first-seen
         order, the same model as for its first input alone."""
         problem, net, model = polak3_sized_model()
-        unstable = model.indicators >= 0
+        unstable = indicator_columns(model) >= 0
         xs = np.random.default_rng(8).uniform(-1.0, 1.0, size=(5, 12))
         xs = np.vstack([xs, xs[::-1]])
         keys = [activation_pattern(net, x)[unstable].tobytes() for x in xs]
@@ -500,7 +509,7 @@ class TestPatternProbes:
         where the neuron is on at x), then one row per declared output bound
         tighter than the propagated one, and nothing else."""
         problem, net, model = polak3_sized_model()
-        unstable = model.indicators >= 0
+        unstable = indicator_columns(model) >= 0
         bounds = propagate_bounds(net, ([v.lower for v in problem.inputs],
                                         [v.upper for v in problem.inputs]))
         tight_lo = sum(v.lower > lo for v, lo in zip(problem.outputs, bounds.out_lower))
@@ -565,7 +574,7 @@ class TestRegionModel:
             seen["integer"] += region.int_cols.size
             seen["equality"] += "=" in region.relations
             seen["bound rows"] += len(region.relations) > len(problem.constraints) + int(
-                (model.indicators >= 0).sum()
+                (indicator_columns(model) >= 0).sum()
             )
         assert seen["status"] == {OPTIMAL, INFEASIBLE}
         assert min(seen["integer"], seen["equality"], seen["bound rows"]) > 0

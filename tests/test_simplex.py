@@ -2,6 +2,7 @@
 frozen solver in reference_simplex.py, the independent two-phase kernel in
 dense_simplex.py, and warm starts against cold solves."""
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -13,6 +14,31 @@ import dense_simplex
 import reference_simplex
 from generators import audit_case, net_box, polak3_sized_model, random_net, surrogate_problem
 from rational_lp import solve_rational_lp, OPTIMAL as R_OPT, INFEASIBLE as R_INF
+
+
+def singular(*args):
+    raise np.linalg.LinAlgError("basis re-solve switched off")
+
+
+class NumpyWithoutSolve:
+    """numpy, except that `linalg.solve` raises `LinAlgError`."""
+
+    linalg = types.SimpleNamespace(solve=singular, LinAlgError=np.linalg.LinAlgError)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.fixture(autouse=True)
+def reference_keeps_tableau_values(monkeypatch):
+    """The frozen solver's answer with its basis re-solve switched off.
+
+    `cnma.simplex` returns the basic values the tableau holds, which is what
+    `reference_simplex._finish` keeps when its `np.linalg.solve` raises
+    `LinAlgError`.  Only that module gets the patched namespace, so the
+    dense kernel keeps its own re-solve.
+    """
+    monkeypatch.setattr(reference_simplex, "np", NumpyWithoutSolve())
 
 
 def random_instance(rng, n=None, m=None):
@@ -185,11 +211,13 @@ def assert_same_result(got, want):
 
 
 def assert_same_as_reference(got, want):
-    """Equal results, down to the bytes of every array of the start."""
+    """Equal results, down to the bytes of every array of the start (the
+    frozen solver's start also carries its working matrix, which
+    `cnma.simplex` does not keep)."""
     assert_same_result(got, want)
     assert (got.start is None) == (want.start is None)
     if want.start is not None:
-        for field in dataclasses.fields(want.start):
+        for field in dataclasses.fields(got.start):
             mine, theirs = getattr(got.start, field.name), getattr(want.start, field.name)
             assert mine.dtype == theirs.dtype and mine.shape == theirs.shape, field.name
             assert mine.tobytes() == theirs.tobytes(), field.name
@@ -221,6 +249,15 @@ def slack_start(c, A, relations, b):
     )
 
 
+def reference_start(start, A, b):
+    """`start`, a start of `cnma.simplex`, for the frozen solver, which also
+    takes the working matrix [A | I | b]."""
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    fields = {f.name: getattr(start, f.name) for f in dataclasses.fields(start)}
+    W = np.hstack([A, np.eye(A.shape[0]), b[:, None]])
+    return reference_simplex.LpStart(W=W, **fields)
+
+
 def cold_reference(c, A, relations, b, lower, upper, maximize=False):
     """The frozen solver from the slack basis of the minimized cost."""
     if not len(relations):
@@ -235,8 +272,9 @@ def assert_cold_result(got, args, maximize=False):
     assert_same_as_reference(got, cold_reference(*args, maximize=maximize))
     assert_same_optimum(got, dense_simplex.solve_lp(*args, maximize=maximize))
     if got.start is not None:
-        m, n = np.shape(args[1])
-        assert got.start.W.shape == (m, n + m + 1)
+        m = np.shape(args[1])[0]
+        assert got.start.lo_extra.shape == (m,)
+        assert got.start.T_cols.shape == (got.start.cols.size, m)
 
 
 def degenerate_instance(rng):
@@ -356,7 +394,8 @@ def test_bit_identical_to_reference_solver_cold_and_warm(surrogate_calls, fixtur
         if kwargs.get("start") is None:
             assert_same_as_reference(got, cold_reference(*args))
         else:
-            assert_same_as_reference(got, reference_simplex.solve_lp(*args, **kwargs))
+            start = reference_start(kwargs["start"], args[1], args[3])
+            assert_same_as_reference(got, reference_simplex.solve_lp(*args, start=start))
             warm += 1
     assert 0 < warm < len(surrogate_calls[fixture])
 
@@ -440,8 +479,6 @@ def test_start_is_unchanged_by_its_children():
     for lower, upper in children:
         child = simplex.solve_lp(*lp, lower, upper, start=start)
         assert_same_optimum(child, simplex.solve_lp(*lp, lower, upper))
-        if child.start is not None:
-            assert child.start.W is start.W  # every node of one B&B shares it
     after = {f.name: getattr(start, f.name).tobytes() for f in dataclasses.fields(start)}
     assert after == before
 
@@ -481,7 +518,8 @@ def test_untrustworthy_slack_basis_answer_is_no_answer(monkeypatch, failure):
             if name != "_warm_simplex":
                 return real[name](*args)
             c, lower, upper, start = args
-            assert start.W.shape == (model.A.shape[0], model.A.shape[1] + model.A.shape[0] + 1)
+            m, n = model.A.shape
+            assert start.lo_extra.shape == (m,) and start.T_cols.shape == (n, m)
             if failure == "iteration_limit":
                 return simplex.LpResult(simplex.ITERATION_LIMIT, None, None, 5)
             res = real[name](*args)
@@ -497,3 +535,42 @@ def test_untrustworthy_slack_basis_answer_is_no_answer(monkeypatch, failure):
     pivot_loops = [] if failure == "iteration_limit" else ["_dual_phase", "_run_phase"]
     assert calls == ["_warm_simplex"] + pivot_loops
     assert milp.solve(model, node_budget=16).status == milp.BUDGET_EXCEEDED
+
+
+def test_branch_and_bound_solves_no_linear_system(monkeypatch):
+    """Every answer is read from the tableau: no LP factorizes its basis."""
+    solves = []
+
+    def no_solve(*args, **kwargs):
+        solves.append(args)
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    optimal = {"cold": 0, "warm": 0}
+    real = simplex.solve_lp
+
+    def spy(*args, **kwargs):
+        res = real(*args, **kwargs)
+        if res.status == simplex.OPTIMAL:
+            optimal["warm" if kwargs.get("start") is not None else "cold"] += 1
+        return res
+
+    monkeypatch.setattr(simplex, "solve_lp", spy)
+    _, _, model = polak3_sized_model()
+    assert milp.solve(model, node_budget=16).nodes == 16
+    assert optimal["cold"] > 0 and optimal["warm"] > 0, optimal
+    assert solves == []
+
+
+@pytest.mark.parametrize("extra", ["row", "column"])
+def test_start_from_an_lp_of_another_shape_is_rejected(extra):
+    c, A, rel, b = np.array([1.0, -1.0]), np.array([[1.0, 1.0]]), ["<="], np.array([3.0])
+    lower, upper = np.zeros(2), np.full(2, 2.0)
+    if extra == "row":
+        other = (c, np.vstack([A, [1.0, 0.0]]), rel + [">="], np.append(b, 1.0), lower, upper)
+    else:
+        other = (np.append(c, 1.0), np.hstack([A, [[1.0]]]), rel, b, np.zeros(3), np.full(3, 2.0))
+    donor = simplex.solve_lp(*other)
+    assert donor.status == simplex.OPTIMAL
+    with pytest.raises(ValueError, match="another shape"):
+        simplex.solve_lp(c, A, rel, b, lower, upper, start=donor.start)
